@@ -44,6 +44,24 @@ func fixtureRows() [][]rdf.Term {
 			{}, // unbound
 			{}, // unbound
 		},
+		trickyRow(),
+	}
+}
+
+// trickyString holds every byte class the escapers special-case: C0
+// controls with and without JSON shorthands, a backslash and both quote
+// characters, the JavaScript line terminators U+2028/U+2029, and a lone
+// invalid UTF-8 byte.
+const trickyString = "c\x01b\bf\fr\r\\q'\"ls\u2028ps\u2029bad\xffend\x7f"
+
+// trickyRow is the escaping torture row: a blank node next to an unbound
+// cell, then a datatyped literal whose lexical form is trickyString and
+// whose datatype IRI needs escaping too.
+func trickyRow() []rdf.Term {
+	return []rdf.Term{
+		rdf.NewBlank("n1"),
+		{}, // unbound
+		rdf.NewTypedLiteral(trickyString, "http://example.org/dt?a=<b>&c='d'"),
 	}
 }
 
@@ -136,8 +154,8 @@ func TestJSONWellFormed(t *testing.T) {
 	if got, want := strings.Join(doc.Head.Vars, ","), "s,v,w"; got != want {
 		t.Errorf("head.vars = %q, want %q", got, want)
 	}
-	if len(doc.Results.Bindings) != 4 {
-		t.Fatalf("bindings = %d, want 4", len(doc.Results.Bindings))
+	if len(doc.Results.Bindings) != 5 {
+		t.Fatalf("bindings = %d, want 5", len(doc.Results.Bindings))
 	}
 	b1 := doc.Results.Bindings[1]
 	if b1["v"].Value != "he said \"hi\",\nthen <left>\ta☃" {
@@ -183,7 +201,7 @@ func TestXMLWellFormed(t *testing.T) {
 	if err := xml.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("streamed XML does not parse: %v\n%s", err, raw)
 	}
-	if len(doc.Head.Variables) != 3 || len(doc.Results.Results) != 4 {
+	if len(doc.Head.Variables) != 3 || len(doc.Results.Results) != 5 {
 		t.Fatalf("head/results shape wrong: %+v", doc)
 	}
 	r1 := doc.Results.Results[1]
@@ -221,7 +239,7 @@ func TestCSVQuoting(t *testing.T) {
 func TestTSVSyntax(t *testing.T) {
 	raw := string(serialize(t, TSV, fixtureVars(), fixtureRows()))
 	lines := strings.Split(strings.TrimSuffix(raw, "\n"), "\n")
-	if len(lines) != 5 {
+	if len(lines) != 6 {
 		t.Fatalf("TSV rows span lines:\n%q", raw)
 	}
 	if lines[0] != "?s\t?v\t?w" {
