@@ -226,10 +226,19 @@ func TestTermString(t *testing.T) {
 		{NewLangLiteral("hi", "en"), `"hi"@en`},
 		{NewTypedLiteral("1", "http://t"), `"1"^^<http://t>`},
 		{NewLiteral("a\"b"), `"a\"b"`},
+		{NewLiteral("t\tn\nr\rb\\"), `"t\tn\nr\rb\\"`},
+		// Invalid UTF-8 passes through untouched unless the literal also
+		// needs escaping, in which case it is re-encoded as U+FFFD.
+		{NewLiteral("x\xff"), "\"x\xff\""},
+		{NewLiteral("x\xff\n"), "\"x\ufffd\\n\""},
+		{NewLiteral(strings.Repeat("long ", 20)), `"` + strings.Repeat("long ", 20) + `"`},
 	}
 	for _, c := range cases {
 		if got := c.term.String(); got != c.want {
 			t.Errorf("String(%v) = %s, want %s", c.term, got, c.want)
+		}
+		if got := string(c.term.AppendNT([]byte("pre|"))); got != "pre|"+c.want {
+			t.Errorf("AppendNT(%v) = %q, want %q", c.term, got, "pre|"+c.want)
 		}
 	}
 }

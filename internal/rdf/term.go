@@ -8,6 +8,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind distinguishes the three RDF term categories.
@@ -69,27 +70,36 @@ func (t Term) IsZero() bool { return t == Term{} }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
+	var buf [64]byte
+	return string(t.AppendNT(buf[:0]))
+}
+
+// AppendNT appends the term's N-Triples rendering (the bytes of String) to
+// dst and returns the extended slice.
+func (t Term) AppendNT(dst []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case Blank:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	case Literal:
-		var sb strings.Builder
-		sb.WriteByte('"')
-		sb.WriteString(escapeLiteral(t.Value))
-		sb.WriteByte('"')
+		dst = append(dst, '"')
+		dst = appendEscapedLiteral(dst, t.Value)
+		dst = append(dst, '"')
 		if t.Lang != "" {
-			sb.WriteByte('@')
-			sb.WriteString(t.Lang)
+			dst = append(dst, '@')
+			dst = append(dst, t.Lang...)
 		} else if t.Datatype != "" {
-			sb.WriteString("^^<")
-			sb.WriteString(t.Datatype)
-			sb.WriteByte('>')
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
 		}
-		return sb.String()
+		return dst
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // Key returns a canonical map key for the term. Distinct terms have
@@ -105,28 +115,30 @@ func (t Term) Key() string {
 	}
 }
 
-func escapeLiteral(s string) string {
+// appendEscapedLiteral appends the N-Triples escaping of a literal's
+// lexical form. A string with nothing to escape is copied as is; otherwise
+// it is re-encoded rune by rune, so invalid UTF-8 becomes U+FFFD.
+func appendEscapedLiteral(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+		return append(dst, s...)
 	}
-	var sb strings.Builder
 	for _, r := range s {
 		switch r {
 		case '"':
-			sb.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\\':
-			sb.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			sb.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // Triple is one RDF statement (S P O).

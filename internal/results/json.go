@@ -1,8 +1,8 @@
 package results
 
 import (
-	"encoding/json"
 	"io"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -12,63 +12,49 @@ import (
 // incrementally: head on Begin, one binding object per Row, the closing
 // braces on End.
 type jsonWriter struct {
-	w     io.Writer
-	vars  []string
+	rowBuf
+	keys  []string // `"var":` per column, encoded once in Begin
 	first bool
 }
 
 func (j *jsonWriter) Begin(vars []string) error {
-	j.vars = vars
 	j.first = true
-	if _, err := io.WriteString(j.w, `{"head":{"vars":[`); err != nil {
-		return err
-	}
+	j.keys = make([]string, len(vars))
+	b := append(j.buf[:0], `{"head":{"vars":[`...)
 	for i, v := range vars {
 		if i > 0 {
-			if _, err := io.WriteString(j.w, ","); err != nil {
-				return err
-			}
+			b = append(b, ',')
 		}
-		if err := writeJSONString(j.w, v); err != nil {
-			return err
-		}
+		start := len(b)
+		b = appendJSONString(b, v)
+		j.keys[i] = string(b[start:]) + ":"
 	}
-	_, err := io.WriteString(j.w, `]},"results":{"bindings":[`)
-	return err
+	b = append(b, `]},"results":{"bindings":[`...)
+	return j.flush(b)
 }
 
 func (j *jsonWriter) Row(row []rdf.Term) error {
+	b := j.buf[:0]
 	if j.first {
 		j.first = false
-	} else if _, err := io.WriteString(j.w, ","); err != nil {
-		return err
+	} else {
+		b = append(b, ',')
 	}
-	if _, err := io.WriteString(j.w, "\n{"); err != nil {
-		return err
-	}
+	b = append(b, "\n{"...)
 	wrote := false
-	for i, v := range j.vars {
+	for i, key := range j.keys {
 		if i >= len(row) || row[i].IsZero() {
 			continue // unbound: the variable is absent from the binding
 		}
 		if wrote {
-			if _, err := io.WriteString(j.w, ","); err != nil {
-				return err
-			}
+			b = append(b, ',')
 		}
 		wrote = true
-		if err := writeJSONString(j.w, v); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(j.w, ":"); err != nil {
-			return err
-		}
-		if err := writeJSONTerm(j.w, row[i]); err != nil {
-			return err
-		}
+		b = append(b, key...)
+		b = appendJSONTerm(b, row[i])
 	}
-	_, err := io.WriteString(j.w, "}")
-	return err
+	b = append(b, '}')
+	return j.flush(b)
 }
 
 func (j *jsonWriter) End() error {
@@ -85,48 +71,90 @@ func (j *jsonWriter) Boolean(b bool) error {
 	return err
 }
 
-// writeJSONTerm writes one RDF term as a result-set binding object.
-func writeJSONTerm(w io.Writer, t rdf.Term) error {
-	var typ string
+// appendJSONTerm appends one RDF term as a result-set binding object.
+func appendJSONTerm(b []byte, t rdf.Term) []byte {
 	switch t.Kind {
 	case rdf.IRI:
-		typ = "uri"
+		b = append(b, `{"type":"uri","value":`...)
 	case rdf.Blank:
-		typ = "bnode"
+		b = append(b, `{"type":"bnode","value":`...)
 	default:
-		typ = "literal"
+		b = append(b, `{"type":"literal","value":`...)
 	}
-	if _, err := io.WriteString(w, `{"type":"`+typ+`","value":`); err != nil {
-		return err
-	}
-	if err := writeJSONString(w, t.Value); err != nil {
-		return err
-	}
+	b = appendJSONString(b, t.Value)
 	if t.Kind == rdf.Literal && t.Lang != "" {
-		if _, err := io.WriteString(w, `,"xml:lang":`); err != nil {
-			return err
-		}
-		if err := writeJSONString(w, t.Lang); err != nil {
-			return err
-		}
+		b = append(b, `,"xml:lang":`...)
+		b = appendJSONString(b, t.Lang)
 	} else if t.Kind == rdf.Literal && t.Datatype != "" {
-		if _, err := io.WriteString(w, `,"datatype":`); err != nil {
-			return err
-		}
-		if err := writeJSONString(w, t.Datatype); err != nil {
-			return err
-		}
+		b = append(b, `,"datatype":`...)
+		b = appendJSONString(b, t.Datatype)
 	}
-	_, err := io.WriteString(w, "}")
-	return err
+	return append(b, '}')
 }
 
-// writeJSONString writes s as a JSON string literal, with full escaping.
-func writeJSONString(w io.Writer, s string) error {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return err
+// jsonSafe marks the ASCII bytes that appendJSONString copies verbatim:
+// everything printable except the quote, the backslash, and the HTML
+// metacharacters <, > and &.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		safe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 	}
-	_, err = w.Write(b)
-	return err
+	return safe
+}()
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string literal. The bytes equal
+// encoding/json's Marshal of s: <, > and & as \u00XX, the \b \f \n \r \t
+// shorthands, other C0 controls as \u00XX, U+2028 and U+2029 escaped, and
+// each invalid UTF-8 byte as \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			i++
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }

@@ -4,6 +4,16 @@
 // memory. Unbound variables produced by OPTIONAL patterns are rendered in
 // each format's native way (absent binding in JSON/XML, empty field in
 // CSV/TSV), and ASK queries serialize as boolean documents.
+//
+// Cost model: every Writer encodes a whole row into one reusable byte
+// slice and hands it to the destination in exactly one Write per Row (one
+// for Begin, one for End). Nothing is buffered beyond the current row, and
+// once the slice has grown to the widest row seen, Row allocates nothing.
+// Per-variable key and element prefixes are encoded once, in Begin. The
+// string escapers produce exactly the bytes of encoding/json's Marshal
+// (JSON) and encoding/xml's EscapeText (XML); TSV terms use
+// rdf.Term.AppendNT. Batching rows into larger writes is the caller's job:
+// wrap the destination in a bufio.Writer.
 package results
 
 import (
@@ -80,14 +90,32 @@ type Writer interface {
 // The Writer does not buffer or close w; wrap w in a bufio.Writer when
 // syscall-sized writes matter.
 func NewWriter(f Format, w io.Writer) Writer {
+	rb := rowBuf{w: w}
 	switch f {
 	case XML:
-		return &xmlWriter{w: w}
+		return &xmlWriter{rowBuf: rb}
 	case CSV:
-		return &csvWriter{w: w}
+		return &csvWriter{rowBuf: rb}
 	case TSV:
-		return &tsvWriter{w: w}
+		return &tsvWriter{rowBuf: rb}
 	default:
-		return &jsonWriter{w: w}
+		return &jsonWriter{rowBuf: rb}
 	}
+}
+
+// rowBuf is the encoding state every Writer shares: the destination and
+// one reusable byte slice. A writer appends a whole header or row into the
+// slice and hands it to flush, so each Begin and Row call issues exactly
+// one Write and, once the slice has grown to the widest row, allocates
+// nothing.
+type rowBuf struct {
+	w   io.Writer
+	buf []byte
+}
+
+// flush writes b in one call and keeps it for reuse by the next row.
+func (r *rowBuf) flush(b []byte) error {
+	r.buf = b
+	_, err := r.w.Write(b)
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"encoding/xml"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -257,6 +258,84 @@ func TestTSVSyntax(t *testing.T) {
 	}
 	if lines[3] != "_:b0\t\t\"a,b\"" {
 		t.Errorf("unbound cell wrong: %q", lines[3])
+	}
+}
+
+// TestWriterRowAllocFree pins the serializers' cost model: once a writer
+// has grown its row buffer to the widest row, Row allocates nothing in any
+// format.
+func TestWriterRowAllocFree(t *testing.T) {
+	rows := fixtureRows()
+	for _, f := range formats {
+		w := NewWriter(f, io.Discard)
+		if err := w.Begin(fixtureVars()); err != nil {
+			t.Fatalf("%v Begin: %v", f, err)
+		}
+		writeRows := func() {
+			for _, r := range rows {
+				if err := w.Row(r); err != nil {
+					t.Fatalf("%v Row: %v", f, err)
+				}
+			}
+		}
+		writeRows() // warm: size the row buffer
+		if allocs := testing.AllocsPerRun(100, writeRows); allocs != 0 {
+			t.Errorf("%v: %v allocs per %d rows, want 0", f, allocs, len(rows))
+		}
+	}
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct{ writes int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return len(p), nil
+}
+
+// TestWriterOneWritePerRow pins that Begin and every Row reach the
+// destination as exactly one Write each.
+func TestWriterOneWritePerRow(t *testing.T) {
+	rows := fixtureRows()
+	for _, f := range formats {
+		var cw countingWriter
+		w := NewWriter(f, &cw)
+		if err := w.Begin(fixtureVars()); err != nil {
+			t.Fatalf("%v Begin: %v", f, err)
+		}
+		if cw.writes != 1 {
+			t.Errorf("%v Begin: %d writes, want 1", f, cw.writes)
+		}
+		for i, r := range rows {
+			cw.writes = 0
+			if err := w.Row(r); err != nil {
+				t.Fatalf("%v Row: %v", f, err)
+			}
+			if cw.writes != 1 {
+				t.Errorf("%v row %d: %d writes, want 1", f, i, cw.writes)
+			}
+		}
+	}
+}
+
+// BenchmarkWriterRow measures one Row call per op, cycling through the
+// fixture rows, into a discarding destination.
+func BenchmarkWriterRow(b *testing.B) {
+	rows := fixtureRows()
+	for _, f := range formats {
+		b.Run(f.String(), func(b *testing.B) {
+			w := NewWriter(f, io.Discard)
+			if err := w.Begin(fixtureVars()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.Row(rows[i%len(rows)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

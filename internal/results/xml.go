@@ -1,8 +1,8 @@
 package results
 
 import (
-	"encoding/xml"
 	"io"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -17,56 +17,35 @@ const xmlProlog = `<?xml version="1.0" encoding="UTF-8"?>` + "\n" +
 // xmlWriter emits SPARQL Query Results XML incrementally: prolog and head
 // on Begin, one <result> element per Row, the closing tags on End.
 type xmlWriter struct {
-	w    io.Writer
-	vars []string
+	rowBuf
+	bindings []string // `<binding name="var">` per column, encoded once in Begin
 }
 
 func (x *xmlWriter) Begin(vars []string) error {
-	x.vars = vars
-	if _, err := io.WriteString(x.w, xmlProlog+"<head>"); err != nil {
-		return err
+	x.bindings = make([]string, len(vars))
+	b := append(x.buf[:0], xmlProlog+"<head>"...)
+	for i, v := range vars {
+		b = append(b, `<variable name="`...)
+		b = appendXMLEscaped(b, v)
+		b = append(b, `"/>`...)
+		x.bindings[i] = `<binding name="` + string(appendXMLEscaped(nil, v)) + `">`
 	}
-	for _, v := range vars {
-		if _, err := io.WriteString(x.w, `<variable name="`); err != nil {
-			return err
-		}
-		if err := xmlEscape(x.w, v); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(x.w, `"/>`); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(x.w, "</head>\n<results>\n")
-	return err
+	b = append(b, "</head>\n<results>\n"...)
+	return x.flush(b)
 }
 
 func (x *xmlWriter) Row(row []rdf.Term) error {
-	if _, err := io.WriteString(x.w, "<result>"); err != nil {
-		return err
-	}
-	for i, v := range x.vars {
+	b := append(x.buf[:0], "<result>"...)
+	for i, open := range x.bindings {
 		if i >= len(row) || row[i].IsZero() {
 			continue // unbound: no <binding> element for the variable
 		}
-		if _, err := io.WriteString(x.w, `<binding name="`); err != nil {
-			return err
-		}
-		if err := xmlEscape(x.w, v); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(x.w, `">`); err != nil {
-			return err
-		}
-		if err := writeXMLTerm(x.w, row[i]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(x.w, "</binding>"); err != nil {
-			return err
-		}
+		b = append(b, open...)
+		b = appendXMLTerm(b, row[i])
+		b = append(b, "</binding>"...)
 	}
-	_, err := io.WriteString(x.w, "</result>\n")
-	return err
+	b = append(b, "</result>\n"...)
+	return x.flush(b)
 }
 
 func (x *xmlWriter) End() error {
@@ -83,62 +62,83 @@ func (x *xmlWriter) Boolean(b bool) error {
 	return err
 }
 
-func writeXMLTerm(w io.Writer, t rdf.Term) error {
+// appendXMLTerm appends one RDF term as a <uri>, <bnode> or <literal>
+// element.
+func appendXMLTerm(b []byte, t rdf.Term) []byte {
 	switch t.Kind {
 	case rdf.IRI:
-		if _, err := io.WriteString(w, "<uri>"); err != nil {
-			return err
-		}
-		if err := xmlEscape(w, t.Value); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, "</uri>")
-		return err
+		b = append(b, "<uri>"...)
+		b = appendXMLEscaped(b, t.Value)
+		return append(b, "</uri>"...)
 	case rdf.Blank:
-		if _, err := io.WriteString(w, "<bnode>"); err != nil {
-			return err
-		}
-		if err := xmlEscape(w, t.Value); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, "</bnode>")
-		return err
+		b = append(b, "<bnode>"...)
+		b = appendXMLEscaped(b, t.Value)
+		return append(b, "</bnode>"...)
 	default:
-		open := "<literal"
 		if t.Lang != "" {
-			if _, err := io.WriteString(w, open+` xml:lang="`); err != nil {
-				return err
-			}
-			if err := xmlEscape(w, t.Lang); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, `">`); err != nil {
-				return err
-			}
+			b = append(b, `<literal xml:lang="`...)
+			b = appendXMLEscaped(b, t.Lang)
+			b = append(b, `">`...)
 		} else if t.Datatype != "" {
-			if _, err := io.WriteString(w, open+` datatype="`); err != nil {
-				return err
-			}
-			if err := xmlEscape(w, t.Datatype); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, `">`); err != nil {
-				return err
-			}
+			b = append(b, `<literal datatype="`...)
+			b = appendXMLEscaped(b, t.Datatype)
+			b = append(b, `">`...)
 		} else {
-			if _, err := io.WriteString(w, open+">"); err != nil {
-				return err
-			}
+			b = append(b, "<literal>"...)
 		}
-		if err := xmlEscape(w, t.Value); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, "</literal>")
-		return err
+		b = appendXMLEscaped(b, t.Value)
+		return append(b, "</literal>"...)
 	}
 }
 
-// xmlEscape escapes s for use in element content or a quoted attribute.
-func xmlEscape(w io.Writer, s string) error {
-	return xml.EscapeText(w, []byte(s))
+// appendXMLEscaped appends s escaped for element content or a quoted
+// attribute. The bytes equal encoding/xml's EscapeText of s: the five
+// metacharacters and tab, newline and carriage return as character
+// references, and every invalid UTF-8 byte or code point outside the XML
+// Char production as U+FFFD.
+func appendXMLEscaped(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, width = utf8.DecodeRuneInString(s[i:])
+		}
+		i += width
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if isXMLChar(r) && !(r == utf8.RuneError && width == 1) {
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		b = append(b, s[last:i-width]...)
+		b = append(b, esc...)
+		last = i
+	}
+	return append(b, s[last:]...)
+}
+
+// isXMLChar reports whether r is in the XML 1.0 Char production.
+func isXMLChar(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
 }
