@@ -60,6 +60,12 @@ func runLimited(limit int, fns []func()) {
 // acquisitions included). In-flight fns always finish, so shared state is
 // never abandoned mid-mutation; the caller decides whether the partial
 // work is usable by checking ctx.Err() afterwards.
+//
+// A panicking fn does not crash the process from its worker goroutine:
+// the first panic is recovered, the remaining fns still run, and once all
+// of them have finished the same value is panicked again on the calling
+// goroutine, where the caller's own recovery (net/http's per-connection
+// handler, for instance) can contain it.
 func runLimitedCtx(ctx context.Context, limit int, fns []func()) {
 	if limit <= 1 || len(fns) <= 1 {
 		for _, fn := range fns {
@@ -74,7 +80,12 @@ func runLimitedCtx(ctx context.Context, limit int, fns []func()) {
 		limit = len(fns)
 	}
 	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
+	var (
+		wg        sync.WaitGroup
+		panicOnce sync.Once
+		panicked  bool
+		panicVal  any
+	)
 	for _, fn := range fns {
 		if ctx.Err() != nil {
 			break
@@ -96,10 +107,18 @@ func runLimitedCtx(ctx context.Context, limit int, fns []func()) {
 		go func(f func()) {
 			defer wg.Done()
 			defer func() { <-sem }()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked, panicVal = true, r })
+				}
+			}()
 			f()
 		}(fn)
 	}
 	wg.Wait()
+	if panicked {
+		panic(panicVal)
+	}
 }
 
 // pruneOp is one semi-join or clustered-semi-join of a jvar level, with

@@ -24,6 +24,41 @@ func TestRunLimitedRunsEverything(t *testing.T) {
 	}
 }
 
+// TestRunLimitedCtxRepanicsOnCaller pins that a panicking fn on a worker
+// goroutine surfaces as a panic on the calling goroutine, with the same
+// value, only after every other fn has run to completion.
+func TestRunLimitedCtxRepanicsOnCaller(t *testing.T) {
+	type boom struct{ id int }
+	for _, limit := range []int{2, 3, 8} {
+		var done atomic.Int64
+		panicked := make(chan struct{})
+		fns := make([]func(), 6)
+		for i := range fns {
+			fns[i] = func() {
+				// Hold every other fn until the panic has happened, so
+				// some are in flight while it unwinds.
+				<-panicked
+				done.Add(1)
+			}
+		}
+		fns[1] = func() {
+			close(panicked)
+			panic(boom{id: 1})
+		}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			runLimitedCtx(context.Background(), limit, fns)
+			return nil
+		}()
+		if got != (boom{id: 1}) {
+			t.Fatalf("limit %d: recovered %v, want boom{1}", limit, got)
+		}
+		if n := done.Load(); n != 5 {
+			t.Fatalf("limit %d: %d of 5 other fns finished before the re-panic", limit, n)
+		}
+	}
+}
+
 func TestScheduleWavesSeparatesConflicts(t *testing.T) {
 	op := func(reads, writes []int) *pruneOp {
 		return &pruneOp{run: func() {}, reads: reads, writes: writes}

@@ -263,7 +263,11 @@ func stripModifiers(q *sparql.Query) *sparql.Query {
 }
 
 // runPerShard runs fn(i) for every shard, at most conc at a time. The
-// first error by shard order wins, matching sequential execution.
+// first error by shard order wins, matching sequential execution. A
+// panicking fn is recovered on its worker goroutine; the other shards
+// still run, and after all have finished the first panic's value is
+// panicked again on the calling goroutine, so a shard fault cannot crash
+// the process from a goroutine no caller can recover.
 func runPerShard(n, conc int, fn func(i int) error) error {
 	errs := make([]error, n)
 	if conc < 2 || n < 2 {
@@ -272,16 +276,29 @@ func runPerShard(n, conc int, fn func(i int) error) error {
 		}
 	} else {
 		sem := make(chan struct{}, conc)
-		var wg sync.WaitGroup
+		var (
+			wg        sync.WaitGroup
+			panicOnce sync.Once
+			panicked  bool
+			panicVal  any
+		)
 		for i := 0; i < n; i++ {
 			sem <- struct{}{}
 			wg.Add(1)
 			go func(i int) {
 				defer func() { <-sem; wg.Done() }()
+				defer func() {
+					if r := recover(); r != nil {
+						panicOnce.Do(func() { panicked, panicVal = true, r })
+					}
+				}()
 				errs[i] = fn(i)
 			}(i)
 		}
 		wg.Wait()
+		if panicked {
+			panic(panicVal)
+		}
 	}
 	for _, err := range errs {
 		if err != nil {

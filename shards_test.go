@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rdf"
@@ -73,6 +74,39 @@ func newShardTestStore(t *testing.T, shards, workers int) *Store {
 // {1,2,4} over the probe workload, asserting every sharded store returns
 // the unsharded store's row multiset — and its exact row order on the
 // fallback path and under a total ORDER BY.
+// TestRunPerShardRepanicsOnCaller pins that a panicking shard fn surfaces
+// as a panic on the calling goroutine, with the same value, only after
+// every other shard fn has run to completion.
+func TestRunPerShardRepanicsOnCaller(t *testing.T) {
+	type boom struct{ shard int }
+	for _, conc := range []int{2, 3, 8} {
+		var done atomic.Int64
+		panicked := make(chan struct{})
+		fn := func(i int) error {
+			if i == 1 {
+				close(panicked)
+				panic(boom{shard: i})
+			}
+			// Hold every other shard until the panic has happened, so
+			// some are in flight while it unwinds.
+			<-panicked
+			done.Add(1)
+			return nil
+		}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			_ = runPerShard(6, conc, fn)
+			return nil
+		}()
+		if got != (boom{shard: 1}) {
+			t.Fatalf("conc %d: recovered %v, want boom{1}", conc, got)
+		}
+		if n := done.Load(); n != 5 {
+			t.Fatalf("conc %d: %d of 5 other shards finished before the re-panic", conc, n)
+		}
+	}
+}
+
 func TestShardQueryDifferential(t *testing.T) {
 	base := newShardTestStore(t, 0, 2)
 	for _, p := range shardProbes {
