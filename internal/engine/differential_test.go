@@ -453,6 +453,17 @@ func TestDifferentialFuzzRegressions(t *testing.T) {
 		// (4) nested OPTIONAL disconnected from its failing middle level.
 		`SELECT * WHERE { ?x <p0> ?y .
 			OPTIONAL { ?x <p1> ?z . OPTIONAL { ?a <p0> ?b . } } }`,
+		// (5) a group join whose right operand is a UNION, under OPTIONAL,
+		// with one alternative sharing no variable with the rest: rule-3
+		// distribution yields a cross-product alternative whose bindings
+		// must not survive for masters where { ?m <p1> ?a } fails.
+		`SELECT * WHERE { ?m <p0> ?x .
+			OPTIONAL { { ?m <p1> ?a }{ ?a <p2> ?c } UNION { ?b <p3> ?d } } }`,
+		// (6) the same root cause without a UNION: group-join operands in
+		// separate supernodes (the nested OPTIONAL keeps them apart) that
+		// share no variable must still fail together.
+		`SELECT * WHERE { ?m <p0> ?x .
+			OPTIONAL { { ?m <p1> ?a } { ?b <p3> ?d . OPTIONAL { ?d <p2> ?z } } } }`,
 	}
 	rng := rand.New(rand.NewSource(7042))
 	for trial := 0; trial < 60; trial++ {

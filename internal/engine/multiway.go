@@ -405,10 +405,11 @@ func (r *joinRun) nullification() map[int]bool {
 }
 
 // cascadeFailures extends the failed set to supernodes that consumed
-// bindings owned by failed supernodes, and down the GoSN hierarchy: a
-// slave of a failed supernode fails with it even when the two share no
-// variable (a nested OPTIONAL is only in scope within its master's
-// solutions).
+// bindings owned by failed supernodes, down the GoSN hierarchy — a slave
+// of a failed supernode fails with it even when the two share no variable
+// (a nested OPTIONAL is only in scope within its master's solutions) —
+// and across peers: the operands of a group join inside an OPTIONAL match
+// jointly, so one failing fails them all, shared variable or not.
 func (r *joinRun) cascadeFailures(failed map[int]bool) {
 	changed := true
 	for changed {
@@ -420,6 +421,16 @@ func (r *joinRun) cascadeFailures(failed map[int]bool) {
 			}
 			for _, m := range r.plan.GoSN.MastersOf(sn) {
 				if failed[m] {
+					failed[sn] = true
+					changed = true
+					break
+				}
+			}
+			if failed[sn] {
+				continue
+			}
+			for _, p := range r.plan.GoSN.Peers(sn) {
+				if failed[p] {
 					failed[sn] = true
 					changed = true
 					break

@@ -95,9 +95,17 @@ func JvarSelectivity(goj *algebra.GoJ, counts []int64, jvar int) int64 {
 // variables). The pipelined join can only repair such rows through
 // nullification, so these queries take the best-match path regardless of
 // cyclicity.
+//
+// The same holds across peer supernodes: an OPTIONAL's group join
+// ({ ?m <p1> ?a } { ?b <p3> ?d . OPTIONAL { ... } }, or a rule-3
+// alternative { ?m <p1> ?a }{ ?b <p3> ?d } distributed out of a UNION)
+// puts its operands in separate supernodes joined by bidirectional edges,
+// which must match jointly. When the peer class's patterns are not
+// variable-connected, one peer can match while another fails, so the
+// class is checked as a whole too.
 func decideBestMatch(gosn *algebra.GoSN, goj *algebra.GoJ) bool {
 	for _, sn := range gosn.SlaveSupernodes() {
-		if !supernodeConnected(gosn, sn) {
+		if !tpsConnected(gosn, gosn.Supernodes[sn].TPs) || !tpsConnected(gosn, peerClassTPs(gosn, sn)) {
 			return true
 		}
 	}
@@ -118,12 +126,20 @@ func decideBestMatch(gosn *algebra.GoSN, goj *algebra.GoJ) bool {
 	return false
 }
 
-// supernodeConnected reports whether the supernode's patterns form a
-// single component under the shares-a-variable relation (any variable two
-// patterns share is by definition a join variable, so this is exactly
-// jvar connectivity restricted to the supernode).
-func supernodeConnected(gosn *algebra.GoSN, sn int) bool {
-	tps := gosn.Supernodes[sn].TPs
+// peerClassTPs returns the patterns of every supernode in sn's peer class.
+func peerClassTPs(gosn *algebra.GoSN, sn int) []int {
+	var tps []int
+	for _, p := range gosn.Peers(sn) {
+		tps = append(tps, gosn.Supernodes[p].TPs...)
+	}
+	return tps
+}
+
+// tpsConnected reports whether the patterns form a single component under
+// the shares-a-variable relation (any variable two patterns share is by
+// definition a join variable, so this is exactly jvar connectivity
+// restricted to the patterns).
+func tpsConnected(gosn *algebra.GoSN, tps []int) bool {
 	if len(tps) <= 1 {
 		return true
 	}

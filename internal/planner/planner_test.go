@@ -250,3 +250,41 @@ func TestPlanSingleTPNoJvars(t *testing.T) {
 		t.Error("trivial query needs no best-match")
 	}
 }
+
+// TestPlanDisconnectedPeersNeedBestMatch pins the peer-class connectivity
+// rule: an OPTIONAL whose group join has operands sharing no variable
+// (separate supernodes joined by a bidirectional edge) can match one peer
+// while another fails, so it takes the best-match path even though each
+// supernode is connected on its own and the query is acyclic. The
+// connected variant stays on the fast path.
+func TestPlanDisconnectedPeersNeedBestMatch(t *testing.T) {
+	cases := []struct {
+		src  string
+		want bool
+	}{
+		{`SELECT * WHERE { ?m <p0> ?x . OPTIONAL { { ?m <p1> ?a } { ?b <p3> ?d . OPTIONAL { ?d <p2> ?z } } } }`, true},
+		{`SELECT * WHERE { ?m <p0> ?x . OPTIONAL { { ?m <p1> ?a } { ?a <p3> ?d . OPTIONAL { ?d <p2> ?z } } } }`, false},
+	}
+	for _, c := range cases {
+		q, err := sparql.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := algebra.FromQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gosn, err := algebra.BuildGoSN(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goj, err := algebra.BuildGoJ(gosn.Patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := BuildPlan(gosn, goj, make([]int64, len(gosn.Patterns)))
+		if plan.NeedsBestMatch != c.want {
+			t.Errorf("NeedsBestMatch = %v, want %v (GoSN %s)\n%s", plan.NeedsBestMatch, c.want, gosn, c.src)
+		}
+	}
+}
