@@ -105,7 +105,10 @@ func JvarSelectivity(goj *algebra.GoJ, counts []int64, jvar int) int64 {
 // class is checked as a whole too.
 func decideBestMatch(gosn *algebra.GoSN, goj *algebra.GoJ) bool {
 	for _, sn := range gosn.SlaveSupernodes() {
-		if !tpsConnected(gosn, gosn.Supernodes[sn].TPs) || !tpsConnected(gosn, peerClassTPs(gosn, sn)) {
+		if !tpsConnected(gosn, gosn.Supernodes[sn].TPs) {
+			return true
+		}
+		if peers := gosn.Peers(sn); len(peers) > 1 && !tpsConnected(gosn, peerClassTPs(gosn, peers)) {
 			return true
 		}
 	}
@@ -126,10 +129,10 @@ func decideBestMatch(gosn *algebra.GoSN, goj *algebra.GoJ) bool {
 	return false
 }
 
-// peerClassTPs returns the patterns of every supernode in sn's peer class.
-func peerClassTPs(gosn *algebra.GoSN, sn int) []int {
+// peerClassTPs returns the patterns of every supernode in a peer class.
+func peerClassTPs(gosn *algebra.GoSN, peers []int) []int {
 	var tps []int
-	for _, p := range gosn.Peers(sn) {
+	for _, p := range peers {
 		tps = append(tps, gosn.Supernodes[p].TPs...)
 	}
 	return tps

@@ -25,10 +25,9 @@ func (x *xmlWriter) Begin(vars []string) error {
 	x.bindings = make([]string, len(vars))
 	b := append(x.buf[:0], xmlProlog+"<head>"...)
 	for i, v := range vars {
-		b = append(b, `<variable name="`...)
-		b = appendXMLEscaped(b, v)
-		b = append(b, `"/>`...)
-		x.bindings[i] = `<binding name="` + string(appendXMLEscaped(nil, v)) + `">`
+		name := string(appendXMLEscaped(nil, v))
+		b = append(b, `<variable name="`+name+`"/>`...)
+		x.bindings[i] = `<binding name="` + name + `">`
 	}
 	b = append(b, "</head>\n<results>\n"...)
 	return x.flush(b)
