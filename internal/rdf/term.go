@@ -70,8 +70,7 @@ func (t Term) IsZero() bool { return t == Term{} }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
-	var buf [128]byte
-	return string(t.AppendNT(buf[:0]))
+	return string(t.AppendNT(nil))
 }
 
 // AppendNT appends the term's N-Triples rendering (the bytes of String) to

@@ -6,8 +6,8 @@
 // CSV/TSV), and ASK queries serialize as boolean documents.
 //
 // Cost model: every Writer encodes a whole row into one reusable byte
-// slice and hands it to the destination in exactly one Write per Row (one
-// for Begin, one for End). Nothing is buffered beyond the current row, and
+// slice and hands it to the destination in exactly one Write per Row (and
+// one for Begin). Nothing is buffered beyond the current row, and
 // once the slice has grown to the widest row seen, Row allocates nothing.
 // Per-variable key and element prefixes are encoded once, in Begin. The
 // string escapers produce exactly the bytes of encoding/json's Marshal
