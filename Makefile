@@ -110,15 +110,13 @@ serve-smoke:
 # 30s (up from 20s) since the PR 9 filter seeds grew the corpus: the
 # mutator needs the extra budget to reach the expression-shaped inputs.
 # It then runs the result serializers' escaper fuzzers, FuzzJSONString
-# (vs encoding/json) and FuzzXMLEscape (vs encoding/xml), for
-# ESCAPE_FUZZTIME each.
+# (vs encoding/json) and FuzzXMLEscape (vs encoding/xml), for 10s each.
 FUZZTIME ?= 30s
-ESCAPE_FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/results -run='^$$' -fuzz=FuzzJSONString -fuzztime=$(ESCAPE_FUZZTIME)
-	$(GO) test ./internal/results -run='^$$' -fuzz=FuzzXMLEscape -fuzztime=$(ESCAPE_FUZZTIME)
+	$(GO) test ./internal/results -run='^$$' -fuzz=FuzzJSONString -fuzztime=10s
+	$(GO) test ./internal/results -run='^$$' -fuzz=FuzzXMLEscape -fuzztime=10s
 
 # bench regenerates the paper's evaluation tables at the default scales.
 bench:

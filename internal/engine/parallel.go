@@ -83,7 +83,6 @@ func runLimitedCtx(ctx context.Context, limit int, fns []func()) {
 	var (
 		wg        sync.WaitGroup
 		panicOnce sync.Once
-		panicked  bool
 		panicVal  any
 	)
 	for _, fn := range fns {
@@ -109,14 +108,14 @@ func runLimitedCtx(ctx context.Context, limit int, fns []func()) {
 			defer func() { <-sem }()
 			defer func() {
 				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked, panicVal = true, r })
+					panicOnce.Do(func() { panicVal = r })
 				}
 			}()
 			f()
 		}(fn)
 	}
 	wg.Wait()
-	if panicked {
+	if panicVal != nil {
 		panic(panicVal)
 	}
 }

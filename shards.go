@@ -279,7 +279,6 @@ func runPerShard(n, conc int, fn func(i int) error) error {
 		var (
 			wg        sync.WaitGroup
 			panicOnce sync.Once
-			panicked  bool
 			panicVal  any
 		)
 		for i := 0; i < n; i++ {
@@ -289,14 +288,14 @@ func runPerShard(n, conc int, fn func(i int) error) error {
 				defer func() { <-sem; wg.Done() }()
 				defer func() {
 					if r := recover(); r != nil {
-						panicOnce.Do(func() { panicked, panicVal = true, r })
+						panicOnce.Do(func() { panicVal = r })
 					}
 				}()
 				errs[i] = fn(i)
 			}(i)
 		}
 		wg.Wait()
-		if panicked {
+		if panicVal != nil {
 			panic(panicVal)
 		}
 	}

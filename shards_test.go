@@ -70,10 +70,6 @@ func newShardTestStore(t *testing.T, shards, workers int) *Store {
 	return s
 }
 
-// TestShardQueryDifferential sweeps shard counts {1,2,4} x worker counts
-// {1,2,4} over the probe workload, asserting every sharded store returns
-// the unsharded store's row multiset — and its exact row order on the
-// fallback path and under a total ORDER BY.
 // TestRunPerShardRepanicsOnCaller pins that a panicking shard fn surfaces
 // as a panic on the calling goroutine, with the same value, only after
 // every other shard fn has run to completion.
@@ -107,6 +103,10 @@ func TestRunPerShardRepanicsOnCaller(t *testing.T) {
 	}
 }
 
+// TestShardQueryDifferential sweeps shard counts {1,2,4} x worker counts
+// {1,2,4} over the probe workload, asserting every sharded store returns
+// the unsharded store's row multiset — and its exact row order on the
+// fallback path and under a total ORDER BY.
 func TestShardQueryDifferential(t *testing.T) {
 	base := newShardTestStore(t, 0, 2)
 	for _, p := range shardProbes {
