@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -111,5 +112,63 @@ func TestEngineStreamMatchesExecute(t *testing.T) {
 	}
 	if len(streamVars) != len(res.Vars) {
 		t.Fatalf("stream vars %v vs %v", streamVars, res.Vars)
+	}
+}
+
+// TestStreamRowVarsAreHeader pins the contract QueryStreamRows relies on:
+// every row callback receives the very vars slice the header callback
+// received (same length, same backing array, hence the same names in the
+// same order) on each of the engine's emission paths.
+func TestStreamRowVarsAreHeader(t *testing.T) {
+	e := engineOver(t, figure32Graph(), Options{})
+	cases := []struct {
+		name      string
+		q         string
+		bestMatch bool
+	}{
+		{name: "streamed", q: q2},
+		// The slave FILTER nullifies the Veep row's OPTIONAL part, so the
+		// branch cannot stream: it materializes and replays.
+		{name: "best-match-replay", bestMatch: true, q: `SELECT * WHERE {
+			?f <actedIn> ?s . OPTIONAL { ?s <location> ?l . FILTER (?l != <D.C.>) } }`},
+		{name: "union", q: `SELECT * WHERE {
+			{ ?x <actedIn> ?y . } UNION { ?x <hasFriend> ?y . } }`},
+		{name: "projection", q: `SELECT ?sitcom ?friend WHERE {
+			<Jerry> <hasFriend> ?friend . OPTIONAL { ?friend <actedIn> ?sitcom . } }`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := sparql.Parse(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var header []sparql.Var
+			var st Stats
+			rows := 0
+			err = e.ExecuteStreamObserved(context.Background(), q,
+				func(vs []sparql.Var) bool {
+					header = vs
+					return true
+				},
+				func(vs []sparql.Var, row Row) bool {
+					rows++
+					if len(header) == 0 || len(vs) != len(header) || &vs[0] != &header[0] {
+						t.Fatalf("row %d: vars %v are not the header slice %v", rows, vs, header)
+					}
+					if len(row) != len(header) {
+						t.Fatalf("row %d: width %d, header %d", rows, len(row), len(header))
+					}
+					return true
+				}, &st, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows == 0 {
+				t.Fatal("no rows: the path under test never emitted")
+			}
+			if st.BestMatch != c.bestMatch {
+				t.Errorf("BestMatch = %v, want %v: the query no longer takes the intended path", st.BestMatch, c.bestMatch)
+			}
+		})
 	}
 }

@@ -76,7 +76,7 @@ type Stats struct {
 	Init  time.Duration // Tinit: BitMat loading with active pruning
 	Prune time.Duration // Tprune: prune_triples
 	Join  time.Duration // Tmultiway: multi-way join + nullification/best-match
-	Merge time.Duration // branch/shard merge, cross-branch best-match, solution modifiers
+	Merge time.Duration // branch merge, cross-branch best-match, solution modifiers
 	Total time.Duration
 
 	InitialTriples int64 // sum of per-pattern matches before init pruning
@@ -282,7 +282,11 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 			bsp = sp.Child("branch")
 			bsp.Set("branch", i)
 		}
-		branchRes[i], branchErr[i] = e.executeBranchCtx(ctx, execs[i], allVars, budget, cache, bsp)
+		plan, err := e.prepareBranch(execs[i].b, bsp)
+		if err == nil {
+			branchRes[i], err = e.executeBranchCtx(ctx, execs[i], plan, allVars, budget, cache, bsp)
+		}
+		branchErr[i] = err
 		bsp.End()
 	}
 	if len(execs) > 1 && nW > 1 {
@@ -398,7 +402,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 	}
 	res.Stats.Total = time.Since(start)
 
-	res.ApplyModifiers(q)
+	res.applyModifiers(q)
 	res.Stats.Merge = time.Since(tMerge)
 	if msp != nil {
 		msp.Set("rows", len(res.Rows))
@@ -407,14 +411,10 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 	return res, nil
 }
 
-// ApplyModifiers applies q's solution modifiers to the result, in SPARQL
+// applyModifiers applies q's solution modifiers to the result, in SPARQL
 // order: ORDER BY on the full bindings, then projection, DISTINCT, OFFSET,
-// LIMIT. executeQuery routes through it, and so does the sharded store's
-// scatter-gather coordinator — modifiers are not shard-local (projection
-// can make rows from different shards collide under DISTINCT), so the
-// coordinator runs shards modifier-free and applies them here, once, over
-// the merged rows.
-func (res *Result) ApplyModifiers(q *sparql.Query) {
+// LIMIT.
+func (res *Result) applyModifiers(q *sparql.Query) {
 	if len(q.OrderBy) > 0 {
 		res.orderBy(q.OrderBy)
 	}
@@ -517,17 +517,13 @@ func accumulate(dst, src *Stats) {
 	dst.EmptyShortcut = dst.EmptyShortcut || src.EmptyShortcut
 }
 
-// executeBranchCtx runs one union-free branch (Algorithm 5.1). budget
-// bounds the workers the branch's own partitioned join may use — the pool
-// share the branch scheduler granted it (the full pool when branches run
-// sequentially). cache, when non-nil, shares BitMat materializations of
-// subpatterns that recur across the query's branches. sp, when non-nil,
-// is the branch's trace span: the planner's decisions and the init,
-// prune, and join phases record themselves under it.
-func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []sparql.Var, budget int, cache *loadCache, sp *trace.Span) (*Result, error) {
-	b := eb.b
-	res := &Result{Vars: vars}
-
+// prepareBranch plans one union-free branch — lines 1-5 of Algorithm
+// 3.1: the GoSN (transformed per Appendix B when the pattern is not
+// well-designed), the GoJ, the selectivity estimates, and the plan with
+// its best-match decision. Both executors and Describe start here, so
+// EXPLAIN prints the plan that runs. sp, when non-nil, records the
+// planner's decisions.
+func (e *Engine) prepareBranch(b *algebra.Branch, sp *trace.Span) (*planner.Plan, error) {
 	// Lines 1-2: GoSN and GoJ.
 	gosn, err := algebra.BuildGoSN(b.Tree)
 	if err != nil {
@@ -542,26 +538,42 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 	if err != nil {
 		return nil, err
 	}
-
 	// Selectivity estimates from index metadata, then the plan
 	// (Algorithm 3.1) and the best-match decision (line 5).
-	counts := EstimateCounts(e.idx, gosn.Patterns)
-	res.Stats.InitialTriples = sum(counts)
-	plan := planner.BuildPlan(gosn, goj, counts)
+	plan := planner.BuildPlan(gosn, goj, EstimateCounts(e.idx, gosn.Patterns))
 	if e.opts.NaiveJvarOrder && !plan.Greedy {
 		naiveOrders(plan)
 	}
 	if sp != nil {
 		sp.Set("patterns", len(gosn.Patterns))
-		sp.Set("initial_triples", res.Stats.InitialTriples)
+		sp.Set("initial_triples", sum(plan.Counts))
 		sp.Set("cyclic", plan.Cyclic)
 		sp.Set("greedy", plan.Greedy)
 		sp.Set("best_match", plan.NeedsBestMatch)
 	}
+	return plan, nil
+}
 
-	// Lines 3-4: init with active pruning. A cancelled context aborts
-	// between pattern loads, so an expensive BitMat materialization is the
-	// most a dead query can still cost here.
+// initPrune runs lines 3-7 of Algorithm 3.1 for a planned branch: init
+// with active pruning, then prune_triples over budget workers, recording
+// both stages into bst. A cancelled context aborts between pattern loads
+// and between jvar levels. A nil slice with a nil error means the
+// empty-master shortcut fired (Section 5): an absolute-master pattern
+// matched nothing, at load or after pruning, so the branch has no rows.
+func (e *Engine) initPrune(ctx context.Context, plan *planner.Plan, budget int, cache *loadCache, bst *Stats, sp *trace.Span) ([]*tpState, error) {
+	gosn := plan.GoSN
+	bst.InitialTriples = sum(plan.Counts)
+	emptyMaster := func(st *tpState) bool {
+		return gosn.IsAbsoluteMaster(st.sn) && st.count() == 0 && (st.mat != nil || !st.present)
+	}
+	shortcut := func() {
+		bst.EmptyShortcut = true
+		if sp != nil {
+			sp.Set("empty_shortcut", true)
+		}
+	}
+
+	// Lines 3-4: init with active pruning.
 	tInit := time.Now()
 	var isp *trace.Span
 	if sp != nil {
@@ -589,33 +601,17 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 			lsp.Set("triples", st.count())
 			lsp.End()
 		}
-		// Simple optimization (Section 5): an empty absolute-master
-		// pattern means an empty result.
-		if gosn.IsAbsoluteMaster(st.sn) && st.count() == 0 && st.mat != nil {
-			res.Stats.Init = time.Since(tInit)
-			res.Stats.EmptyShortcut = true
+		if emptyMaster(st) {
+			bst.Init = time.Since(tInit)
 			isp.End()
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return res, nil
-		}
-		if st.mat == nil && !st.present && gosn.IsAbsoluteMaster(st.sn) {
-			res.Stats.Init = time.Since(tInit)
-			res.Stats.EmptyShortcut = true
-			isp.End()
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return res, nil
+			shortcut()
+			return nil, nil
 		}
 	}
-	res.Stats.Init = time.Since(tInit)
+	bst.Init = time.Since(tInit)
 	isp.End()
 
-	// Line 7: prune_triples (Algorithm 3.2). The context threads into the
-	// pruning passes, which bail between jvar levels (and between waves of
-	// the parallel scheduler) when the query is cancelled.
+	// Line 7: prune_triples (Algorithm 3.2).
 	tPrune := time.Now()
 	var psp *trace.Span
 	if sp != nil {
@@ -624,26 +620,44 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 	if !e.opts.DisablePruning {
 		e.pruneTriples(ctx, plan, tps, budget, psp)
 	}
-	res.Stats.Prune = time.Since(tPrune)
+	bst.Prune = time.Since(tPrune)
 	psp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for _, st := range tps {
-		res.Stats.AfterPruning += st.count()
+		bst.AfterPruning += st.count()
 	}
 	if sp != nil {
-		sp.Set("after_pruning", res.Stats.AfterPruning)
+		sp.Set("after_pruning", bst.AfterPruning)
 	}
 	// Re-check the empty-master shortcut after pruning.
 	for _, st := range tps {
-		if gosn.IsAbsoluteMaster(st.sn) && st.count() == 0 && st.mat != nil {
-			res.Stats.EmptyShortcut = true
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return res, nil
+		if emptyMaster(st) {
+			shortcut()
+			return nil, nil
 		}
+	}
+	return tps, nil
+}
+
+// executeBranchCtx runs one planned union-free branch (Algorithm 5.1).
+// budget bounds the workers the branch's own partitioned join may use —
+// the pool share the branch scheduler granted it (the full pool when
+// branches run sequentially). cache, when non-nil, shares BitMat
+// materializations of subpatterns that recur across the query's branches.
+// sp, when non-nil, is the branch's trace span: the init, prune, and join
+// phases record themselves under it.
+func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, plan *planner.Plan, vars []sparql.Var, budget int, cache *loadCache, sp *trace.Span) (*Result, error) {
+	b := eb.b
+	gosn := plan.GoSN
+	res := &Result{Vars: vars}
+	tps, err := e.initPrune(ctx, plan, budget, cache, &res.Stats, sp)
+	if err != nil {
+		return nil, err
+	}
+	if tps == nil {
+		return res, nil // empty-master shortcut
 	}
 
 	// Lines 8-13: sort patterns and run the pipelined join. Without the
@@ -860,117 +874,32 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 // records the branch's span tree exactly as executeBranchCtx does.
 func (e *Engine) executeBranchStreamCtx(ctx context.Context, eb execBranch, vars []sparql.Var, cache *loadCache, fn func([]sparql.Var, Row) bool, st *Stats, sp *trace.Span) (*Result, error) {
 	b := eb.b
-	gosn, err := algebra.BuildGoSN(b.Tree)
+	plan, err := e.prepareBranch(b, sp)
 	if err != nil {
 		return nil, err
 	}
-	if viols := algebra.CheckWellDesigned(b.Tree, gosn); len(viols) > 0 {
-		algebra.TransformNWD(gosn, viols)
-	}
-	goj, err := algebra.BuildGoJ(gosn.Patterns)
-	if err != nil {
-		return nil, err
-	}
-	counts := EstimateCounts(e.idx, gosn.Patterns)
-	plan := planner.BuildPlan(gosn, goj, counts)
-	nulreqd := plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder
-	placed := planner.PlaceFilters(b, gosn)
+	placed := planner.PlaceFilters(b, plan.GoSN)
 	rowFilters := placed.Row
-	if nulreqd || len(placed.Slave) > 0 {
+	if plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder || len(placed.Slave) > 0 {
 		// A trailing best-match (or potential FaN nullification) makes the
-		// output non-streamable.
-		res, err := e.executeBranchCtx(ctx, eb, vars, e.workers(), cache, sp)
-		if err == nil && res != nil && st != nil {
+		// output non-streamable: run the already planned branch
+		// materialized.
+		res, err := e.executeBranchCtx(ctx, eb, plan, vars, e.workers(), cache, sp)
+		if err == nil && st != nil {
 			accumulate(st, &res.Stats)
 		}
 		return res, err
 	}
-	if e.opts.NaiveJvarOrder && !plan.Greedy {
-		naiveOrders(plan)
-	}
+	var bst Stats
 	if st != nil {
-		st.InitialTriples += sum(counts)
+		defer func() {
+			accumulate(st, &bst)
+			st.Results += bst.Results
+		}()
 	}
-	if sp != nil {
-		sp.Set("patterns", len(gosn.Patterns))
-		sp.Set("initial_triples", sum(counts))
-		sp.Set("cyclic", plan.Cyclic)
-		sp.Set("greedy", plan.Greedy)
-		sp.Set("best_match", plan.NeedsBestMatch)
-	}
-	tInit := time.Now()
-	var isp *trace.Span
-	if sp != nil {
-		isp = sp.Child("init")
-	}
-	tps := make([]*tpState, len(gosn.Patterns))
-	for i, pat := range gosn.Patterns {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var lsp *trace.Span
-		if isp != nil {
-			lsp = isp.Child("load")
-			lsp.Set("pattern", pat.String())
-		}
-		tst, err := e.load(pat, i, gosn.SNOfTP[i], plan, tps, cache, lsp)
-		if err != nil {
-			return nil, err
-		}
-		if !e.opts.DisableActivePruning {
-			e.activePrune(tst, tps, plan)
-		}
-		tps[i] = tst
-		if lsp != nil {
-			lsp.Set("triples", tst.count())
-			lsp.End()
-		}
-		if gosn.IsAbsoluteMaster(tst.sn) && tst.count() == 0 && (tst.mat != nil || !tst.present) {
-			if st != nil {
-				st.Init += time.Since(tInit)
-				st.EmptyShortcut = true
-			}
-			isp.End()
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return nil, nil // empty result, nothing to stream
-		}
-	}
-	if st != nil {
-		st.Init += time.Since(tInit)
-	}
-	isp.End()
-	tPrune := time.Now()
-	var psp *trace.Span
-	if sp != nil {
-		psp = sp.Child("prune")
-	}
-	if !e.opts.DisablePruning {
-		e.pruneTriples(ctx, plan, tps, e.workers(), psp)
-	}
-	if st != nil {
-		st.Prune += time.Since(tPrune)
-	}
-	psp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if st != nil {
-		for _, tst := range tps {
-			st.AfterPruning += tst.count()
-		}
-	}
-	for _, tst := range tps {
-		if gosn.IsAbsoluteMaster(tst.sn) && tst.count() == 0 && tst.mat != nil {
-			if st != nil {
-				st.EmptyShortcut = true
-			}
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return nil, nil
-		}
+	tps, err := e.initPrune(ctx, plan, e.workers(), cache, &bst, sp)
+	if tps == nil || err != nil {
+		return nil, err // an empty-master shortcut streams nothing
 	}
 	stps := sortTPs(plan, tps)
 	varIdx := make(map[sparql.Var]int, len(vars))
@@ -1027,10 +956,8 @@ func (e *Engine) executeBranchStreamCtx(ctx context.Context, eb execBranch, vars
 	// The streamed Join stage includes fn: serialization interleaves with
 	// enumeration, so downstream stage accounting treats serialize as the
 	// residual of the request's wall time (documented in the server).
-	if st != nil {
-		st.Join += time.Since(tJoin)
-		st.Results += emitted
-	}
+	bst.Join = time.Since(tJoin)
+	bst.Results = emitted
 	if sp != nil {
 		jsp.Set("rows", emitted)
 		jsp.End()
@@ -1209,7 +1136,9 @@ func (e *Engine) ExecuteStreamContext(ctx context.Context, q *sparql.Query, fn f
 // slice ResultVars would compute, but derived from this execution's own
 // normalization pass, so the hot path plans the query once, not twice).
 // header returning false ends the call without executing, and without
-// error — the streaming analogue of LIMIT 0.
+// error — the streaming analogue of LIMIT 0. Every fn call receives the
+// very slice header received, on the streamed and the materialized paths
+// alike, so row[i] is always the binding of the header's i-th variable.
 func (e *Engine) ExecuteStreamHeaderContext(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool) error {
 	return e.executeStream(ctx, q, header, fn, nil, nil)
 }
@@ -1235,11 +1164,14 @@ func (e *Engine) executeStream(ctx context.Context, q *sparql.Query, header func
 	if err != nil {
 		return err
 	}
+	// Every row below is handed this one header slice, whichever path
+	// produces it, so a consumer may index rows by the header it saw.
+	vars := resultVars(q, branches)
 	if header != nil {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !header(resultVars(q, branches)) {
+		if !header(vars) {
 			return nil
 		}
 	}
@@ -1251,11 +1183,10 @@ func (e *Engine) executeStream(ctx context.Context, q *sparql.Query, header func
 		if err := b.CheckSafeFilters(); err != nil {
 			return err
 		}
-		// Variables come from the tree before cheap-filter substitution
-		// (and before full-scan expansion), exactly as executeQuery
-		// computes them: a FILTER-substituted or rewritten predicate
-		// variable keeps its result column, re-injected per row.
-		vars := algebra.SortedVars(b.Tree)
+		// vars came from the tree before cheap-filter substitution (and
+		// before full-scan expansion), exactly as executeQuery computes
+		// them: a FILTER-substituted or rewritten predicate variable keeps
+		// its result column, re-injected per row.
 		b.SubstituteCheapFilters()
 		execs, err := e.expandFullScans([]*algebra.Branch{b})
 		if err != nil {
@@ -1287,7 +1218,7 @@ func (e *Engine) executeStream(ctx context.Context, q *sparql.Query, header func
 			skip := q.Offset
 			remaining := q.Limit // negative = unlimited
 			stopped := false
-			wrapped := func(vs []sparql.Var, row Row) bool {
+			wrapped := func(_ []sparql.Var, row Row) bool {
 				if skip > 0 {
 					skip--
 					return true
@@ -1297,7 +1228,7 @@ func (e *Engine) executeStream(ctx context.Context, q *sparql.Query, header func
 					return false
 				}
 				applyCheapSubstsRow(b.Substs, row, varPos)
-				if !fn(vs, row) {
+				if !fn(vars, row) {
 					stopped = true
 					return false
 				}
@@ -1324,7 +1255,7 @@ func (e *Engine) executeStream(ctx context.Context, q *sparql.Query, header func
 					// The branch could not stream (best-match was
 					// required); replay its materialized rows.
 					for _, row := range res.Rows {
-						if !wrapped(res.Vars, row) {
+						if !wrapped(vars, row) {
 							break
 						}
 					}
@@ -1348,7 +1279,7 @@ func (e *Engine) executeStream(ctx context.Context, q *sparql.Query, header func
 		*st = res.Stats
 	}
 	for _, row := range res.Rows {
-		if !fn(res.Vars, row) {
+		if !fn(vars, row) {
 			return nil
 		}
 	}
@@ -1376,17 +1307,12 @@ func (e *Engine) Describe(q *sparql.Query) (string, error) {
 	}
 	out := ""
 	for i, b := range branches {
-		gosn, err := algebra.BuildGoSN(b.Tree)
+		plan, err := e.prepareBranch(b, nil)
 		if err != nil {
 			return "", err
 		}
-		goj, err := algebra.BuildGoJ(gosn.Patterns)
-		if err != nil {
-			return "", err
-		}
-		plan := planner.BuildPlan(gosn, goj, EstimateCounts(e.idx, gosn.Patterns))
 		out += fmt.Sprintf("branch %d: %s\n  GoSN: %s\n  cyclic=%v greedy=%v best-match=%v\n",
-			i, b.Tree.Serialize(), gosn, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch)
+			i, b.Tree.Serialize(), plan.GoSN, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch)
 	}
 	return out, nil
 }

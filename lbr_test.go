@@ -141,6 +141,27 @@ func TestStoreExplain(t *testing.T) {
 	}
 }
 
+// TestStoreExplainNonWellDesigned pins that EXPLAIN prints the plan that
+// runs. ?c occurs in the OPTIONAL and in the outer pattern but not in the
+// OPTIONAL's master, so the query is not well-designed, and execution
+// turns the slave edge SN0->SN1 into the peer edge SN0<->SN1 (Appendix
+// B). The printed GoSN must show the transformed graph.
+func TestStoreExplainNonWellDesigned(t *testing.T) {
+	s := NewStore()
+	s.AddAll([]Triple{
+		TripleIRI("a1", "p", "b1"),
+		TripleIRI("b1", "q", "c1"),
+		TripleIRI("c1", "r", "d1"),
+	})
+	plan, err := s.Explain(`SELECT * WHERE { { ?a <p> ?b OPTIONAL { ?b <q> ?c } } ?c <r> ?d }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "GoSN: SN0<->SN1, SN0<->SN2\n") {
+		t.Errorf("explain output lacks the Appendix-B transformed GoSN:\n%s", plan)
+	}
+}
+
 func TestStoreBaselineAgrees(t *testing.T) {
 	s := movieStore(t)
 	lbrRes, err := s.Query(movieQ2)

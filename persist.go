@@ -137,9 +137,6 @@ func (s *Store) QueryStreamContext(ctx context.Context, src string, fn func(map[
 		}
 		return fn(m)
 	}
-	if handled, err := s.streamShardedContext(ctx, q, nil, emit, nil, nil); handled {
-		return err
-	}
 	eng, err := s.ensureEngine()
 	if err != nil {
 		return err
@@ -205,60 +202,18 @@ func (s *Store) queryStreamRows(ctx context.Context, src string, st *Stats, sp *
 	if sp != nil {
 		sp.Set("query_hash", trace.QueryHash(src))
 	}
-	// The engine emits rows in the header's order on every path today; the
-	// remap below is insurance that keeps the public contract ("row[i] is
-	// the binding of vars[i]") independent of engine internals.
-	var (
-		evars   []sparql.Var
-		vars    []string
-		remap   []int
-		checked bool
-	)
+	// The engine hands every row the slice it gave the header, so row[i]
+	// is the binding of vars[i] without any remapping here.
+	var vars []string
 	header := func(vs []sparql.Var) bool {
-		// The header and the rows come from one normalization pass; a
-		// dead context has already been refused by the engine.
-		evars = vs
 		vars = make([]string, len(vs))
 		for i, v := range vs {
 			vars[i] = string(v)
 		}
 		return fn(vars, nil)
 	}
-	emit := func(vs []sparql.Var, row engine.Row) bool {
-		if !checked {
-			checked = true
-			same := len(vs) == len(evars)
-			for i := 0; same && i < len(vs); i++ {
-				same = vs[i] == evars[i]
-			}
-			if !same {
-				pos := make(map[sparql.Var]int, len(vs))
-				for i, v := range vs {
-					pos[v] = i
-				}
-				remap = make([]int, len(evars))
-				for i, v := range evars {
-					if p, ok := pos[v]; ok {
-						remap[i] = p
-					} else {
-						remap[i] = -1
-					}
-				}
-			}
-		}
-		if remap == nil {
-			return fn(vars, []Term(row))
-		}
-		out := make([]Term, len(evars))
-		for i, p := range remap {
-			if p >= 0 {
-				out[i] = row[p]
-			}
-		}
-		return fn(vars, out)
-	}
-	if handled, err := s.streamShardedContext(ctx, q, header, emit, st, sp); handled {
-		return err
+	emit := func(_ []sparql.Var, row engine.Row) bool {
+		return fn(vars, []Term(row))
 	}
 	eng, err := s.ensureEngineTraced(sp)
 	if err != nil {

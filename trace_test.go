@@ -12,37 +12,82 @@ import (
 	"repro/internal/trace"
 )
 
+// traceTestTriples is the dataset of the store-level trace suite:
+// per-subject stars (type/linked/email/phone) plus cross-subject links,
+// so the probes below reach joins, OPTIONAL slaves, and full scans.
+func traceTestTriples() []Triple {
+	var ts []Triple
+	for i := 0; i < 40; i++ {
+		s := fmt.Sprintf("s%d", i)
+		ts = append(ts,
+			TripleIRI(s, "type", fmt.Sprintf("class%d", i%3)),
+			TripleIRI(s, "linked", fmt.Sprintf("s%d", (i+1)%40)))
+		if i%2 == 0 {
+			ts = append(ts, TripleIRI(s, "email", fmt.Sprintf("m%d", i)))
+		}
+		if i%3 == 0 {
+			ts = append(ts, TripleIRI(s, "phone", fmt.Sprintf("t%d", i)))
+		}
+	}
+	return ts
+}
+
+// traceProbes covers the engine's query shapes: stars with and without
+// OPTIONAL slaves, filters, variable predicates, the solution modifiers,
+// a chain join, a full scan, a constant subject, and a UNION.
+var traceProbes = []struct{ id, q string }{
+	{id: "star", q: `SELECT * WHERE { ?s <type> ?c . ?s <linked> ?t }`},
+	{id: "star-optional", q: `SELECT * WHERE { ?s <type> ?c . OPTIONAL { ?s <email> ?e } }`},
+	{id: "star-nested-optional", q: `SELECT * WHERE { ?s <linked> ?t . OPTIONAL { ?s <email> ?e . OPTIONAL { ?s <phone> ?p } } }`},
+	{id: "star-filter", q: `SELECT * WHERE { ?s <type> ?c . ?s <linked> ?t . FILTER (?c != <class0>) }`},
+	{id: "star-varpred", q: `SELECT * WHERE { ?s ?p <class0> }`},
+	{id: "star-distinct", q: `SELECT DISTINCT ?c WHERE { ?s <type> ?c . ?s <email> ?e }`},
+	{id: "star-orderby", q: `SELECT ?s ?e WHERE { ?s <email> ?e . ?s <type> <class0> } ORDER BY ?s ?e`},
+	{id: "star-slice", q: `SELECT ?s ?c WHERE { ?s <type> ?c } ORDER BY ?s ?c OFFSET 5 LIMIT 10`},
+	{id: "chain", q: `SELECT * WHERE { ?s <linked> ?t . ?t <email> ?e }`},
+	{id: "scan", q: `SELECT * WHERE { ?s ?p ?o }`},
+	{id: "const-subject", q: `SELECT * WHERE { <s0> ?p ?o }`},
+	{id: "union", q: `SELECT * WHERE { { ?s <email> ?e } UNION { ?s <phone> ?e } }`},
+}
+
+func newTraceTestStore(t *testing.T, workers int) *Store {
+	t.Helper()
+	s := NewStoreWithOptions(Options{Workers: workers})
+	s.AddAll(traceTestTriples())
+	if err := s.Build(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestQueryTraceDifferential pins the tentpole guarantee of the tracing
 // layer: a traced execution returns rows byte-identical to (and in the
-// same order as) the untraced one, across the worker and shard matrix and
-// both execution paths (scatter-gather and merged-index fallback).
+// same order as) the untraced one, at one worker and at several.
 func TestQueryTraceDifferential(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				s := newShardTestStore(t, shards, workers)
-				for _, p := range shardProbes {
-					res, err := s.Query(p.q)
-					if err != nil {
-						t.Fatalf("probe %s untraced: %v", p.id, err)
-					}
-					traced, root, err := s.QueryTrace(context.Background(), p.q)
-					if err != nil {
-						t.Fatalf("probe %s traced: %v", p.id, err)
-					}
-					if res.String() != traced.String() {
-						t.Errorf("probe %s: traced rows differ from untraced\nuntraced:\n%s\ntraced:\n%s",
-							p.id, res.String(), traced.String())
-					}
-					if root == nil || root.Name() != "query" {
-						t.Fatalf("probe %s: root span = %v", p.id, root)
-					}
-					if h, ok := root.Attr("query_hash"); !ok || h != trace.QueryHash(p.q) {
-						t.Errorf("probe %s: query_hash attr = %v, want %s", p.id, h, trace.QueryHash(p.q))
-					}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := newTraceTestStore(t, workers)
+			for _, p := range traceProbes {
+				res, err := s.Query(p.q)
+				if err != nil {
+					t.Fatalf("probe %s untraced: %v", p.id, err)
 				}
-			})
-		}
+				traced, root, err := s.QueryTrace(context.Background(), p.q)
+				if err != nil {
+					t.Fatalf("probe %s traced: %v", p.id, err)
+				}
+				if res.String() != traced.String() {
+					t.Errorf("probe %s: traced rows differ from untraced\nuntraced:\n%s\ntraced:\n%s",
+						p.id, res.String(), traced.String())
+				}
+				if root == nil || root.Name() != "query" {
+					t.Fatalf("probe %s: root span = %v", p.id, root)
+				}
+				if h, ok := root.Attr("query_hash"); !ok || h != trace.QueryHash(p.q) {
+					t.Errorf("probe %s: query_hash attr = %v, want %s", p.id, h, trace.QueryHash(p.q))
+				}
+			}
+		})
 	}
 }
 
@@ -60,13 +105,12 @@ func spanRowsSum(sps []*trace.Span) (int, int) {
 
 // TestQueryTraceSpanAccounting checks the trace's row accounting against
 // the result for join-only queries (no modifiers that drop or reorder
-// rows): the branch span's row count is the result's length, and on a
-// sharded store the per-shard row counts sum to it.
+// rows): the branch span's row count is the result's length.
 func TestQueryTraceSpanAccounting(t *testing.T) {
 	const q = `SELECT * WHERE { ?s <type> ?c . ?s <linked> ?t }`
 
 	t.Run("single-index", func(t *testing.T) {
-		s := newShardTestStore(t, 0, 1)
+		s := newTraceTestStore(t, 1)
 		res, root, err := s.QueryTrace(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -93,36 +137,14 @@ func TestQueryTraceSpanAccounting(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("sharded", func(t *testing.T) {
-		s := newShardTestStore(t, 2, 1)
-		res, root, err := s.QueryTrace(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := root.Attr("sharded"); !ok || v != true {
-			t.Fatalf("sharded attr = %v, %v", v, ok)
-		}
-		shardSpans := root.FindAll("shard")
-		if len(shardSpans) != 2 {
-			t.Fatalf("got %d shard spans, want 2", len(shardSpans))
-		}
-		sum, n := spanRowsSum(shardSpans)
-		if n != 2 || sum != res.Len() {
-			t.Errorf("shard rows sum = %d (over %d spans), want %d", sum, n, res.Len())
-		}
-		if root.Find("merge") == nil {
-			t.Error("trace lacks the merge span")
-		}
-	})
 }
 
 // TestQueryTraceChildDurationsNested checks the timing invariant a
-// sequential execution must satisfy: at one worker and one shard the
-// root's direct children run back to back inside it, so their durations
-// sum to at most the root's.
+// sequential execution must satisfy: at one worker the root's direct
+// children run back to back inside it, so their durations sum to at most
+// the root's.
 func TestQueryTraceChildDurationsNested(t *testing.T) {
-	s := newShardTestStore(t, 0, 1)
+	s := newTraceTestStore(t, 1)
 	_, root, err := s.QueryTrace(context.Background(), `SELECT * WHERE { ?s <type> ?c . ?s <linked> ?t }`)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +169,7 @@ func slowLogStore(t *testing.T, buf *bytes.Buffer) *Store {
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       buf,
 	})
-	s.AddAll(shardTestTriples())
+	s.AddAll(traceTestTriples())
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +265,7 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 		SlowQueryThreshold: time.Hour,
 		SlowQueryLog:       &buf,
 	})
-	s.AddAll(shardTestTriples())
+	s.AddAll(traceTestTriples())
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +281,7 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 // the span tree (covering the work up to the failure) comes back with
 // the error.
 func TestQueryTraceErrorReturnsSpan(t *testing.T) {
-	s := newShardTestStore(t, 0, 1)
+	s := newTraceTestStore(t, 1)
 	_, root, err := s.QueryTrace(context.Background(), `SELECT * WHERE { broken`)
 	if err == nil {
 		t.Fatal("expected a parse error")

@@ -124,7 +124,6 @@ func (s *Store) OpenWAL(path string) (int, error) {
 		// an overlay per line; the next query installs one overlay over the
 		// whole replayed delta.
 		s.src, s.eng = nil, nil
-		s.invalidateShardsLocked()
 		for _, e := range entries {
 			var nd, ni int
 			var err error
