@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check verify test-cache test-update test-shard test-trace test-filter test-union serve-smoke fuzz-smoke bench bench-parallel bench-union bench-build bench-server bench-cache bench-shard bench-trace
+.PHONY: all build test race vet fmt-check verify test-cache test-update test-trace test-filter test-union serve-smoke fuzz-smoke bench bench-parallel bench-union bench-build bench-server bench-cache bench-trace
 
 # The default target is the full tier-1 verification, race detector included.
 all: verify
@@ -47,21 +47,10 @@ test-update:
 		-run 'TestApplyUpdate|TestUpdate|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation' \
 		./internal/rdf ./internal/bitmat ./internal/sparql ./internal/server .
 
-# test-shard runs the sharding test surface under -race: subject-hash
-# partitioning, the k-way index merge identity, the shardability analysis,
-# and the store-level shard differential suite (queries, updates,
-# compaction, save/load, streaming at shard counts {1,2,4}). The full
-# `make` covers all of these too; this target is the fast loop while
-# working on the shard layers.
-test-shard:
-	$(GO) test -race -count=1 \
-		-run 'TestSubjectShard|TestPartitionBySubject|TestMergeIndexes|TestShardable|TestShard|TestSaveShards|TestOpenShards' \
-		./internal/rdf ./internal/bitmat ./internal/planner ./internal/bench .
-
 # test-trace runs the observability test surface under -race: the span
 # tree unit tests and the nil-tracer allocation pin, the store-level
-# traced-vs-untraced differential suite (byte identity across worker and
-# shard counts, span row-count accounting, slow-query log), and the
+# traced-vs-untraced differential suite (byte identity across worker
+# counts, span row-count accounting, slow-query log), and the
 # server's explain/metrics/Prometheus tests. The full `make` covers all
 # of these too; this target is the fast loop while working on tracing.
 test-trace:
@@ -72,7 +61,7 @@ test-trace:
 # test-filter runs the FILTER-expression test surface under -race: the
 # golden operator-semantics table (asserted against the engine evaluator
 # AND the reference oracle), the engine's evaluator unit tests, filter
-# safety/substitution analysis, the store-level worker x shard filter
+# safety/substitution analysis, the store-level worker-count filter
 # sweep, and the server's unsupported-filter/filter-span tests. The full
 # `make` covers all of these too; this target is the fast loop while
 # working on the expression evaluator.
@@ -83,8 +72,8 @@ test-filter:
 
 # test-union runs the UNION/OPTIONAL minimum-union test surface under
 # -race: the engine's best-match/dedup unit tests, the witnessless-union
-# regression tables (engine-level worker sweep + store-level
-# worker x shard sweep, both vs the reference evaluator) and their
+# regression tables (engine-level and store-level worker sweeps, both vs
+# the reference evaluator) and their
 # no-leak pins (synthetic witness columns must never surface in results,
 # streams, or EXPLAIN), and the random union worker sweep. The full
 # `make` covers all of these too; this target is the fast loop while
@@ -111,6 +100,7 @@ serve-smoke:
 # mutator needs the extra budget to reach the expression-shaped inputs.
 # It then runs the result serializers' escaper fuzzers, FuzzJSONString
 # (vs encoding/json) and FuzzXMLEscape (vs encoding/xml), for 10s each.
+# CI's nightly job reruns this target with FUZZTIME=10m.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME)
@@ -157,9 +147,3 @@ bench-trace:
 # 4, as in bench-parallel; byte-identity asserted per query).
 bench-cache:
 	$(GO) run ./cmd/lbrbench -table cache -lubm-univ 32 -runs 15 -workers 4 -json BENCH_cache.json
-
-# bench-shard refreshes the checked-in single-index-vs-sharded baseline
-# (shard counts 2 and 4, workers pinned to 4 as in bench-parallel;
-# row-multiset identity asserted per query and shard count).
-bench-shard:
-	$(GO) run ./cmd/lbrbench -table shard -lubm-univ 32 -runs 7 -workers 4 -json BENCH_shard.json
