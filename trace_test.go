@@ -62,10 +62,11 @@ func newTraceTestStore(t *testing.T, workers int) *Store {
 
 // TestQueryTraceDifferential pins the tentpole guarantee of the tracing
 // layer: a traced execution returns rows byte-identical to (and in the
-// same order as) the untraced one, at one worker and at several.
+// same order as) the untraced one, at one worker and at several. The
+// store runs one index, so every case is named shards=1.
 func TestQueryTraceDifferential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=1/workers=%d", workers), func(t *testing.T) {
 			s := newTraceTestStore(t, workers)
 			for _, p := range traceProbes {
 				res, err := s.Query(p.q)
