@@ -92,7 +92,8 @@ serve-smoke:
 # fuzz-smoke runs the two differential fuzzers briefly — long enough to
 # replay the seed corpora and mutate around them, short enough for CI:
 # FuzzQueryDifferential (engine vs the naive reference evaluator, across
-# worker counts and delta overlays) and FuzzUpdateDifferential (update
+# worker counts and delta overlays, with the streamed rows byte-identical
+# to the materialized ones at each worker count) and FuzzUpdateDifferential (update
 # streams through the delta-overlay store vs the reference applier, across
 # compaction and cold rebuild). Local deep runs: go test ./internal/engine
 # -run='^$' -fuzz=FuzzQueryDifferential (or . -fuzz=FuzzUpdateDifferential).

@@ -172,3 +172,63 @@ func TestStreamRowVarsAreHeader(t *testing.T) {
 		})
 	}
 }
+
+// TestStreamStatsCountDeliveredRows pins Stats row accounting to the rows
+// a caller actually receives, after the solution modifiers: the stream's
+// Results and NullResults count the fn calls on every emission path, and
+// Execute's count the returned rows.
+func TestStreamStatsCountDeliveredRows(t *testing.T) {
+	e := engineOver(t, figure32Graph(), Options{})
+	cases := []struct {
+		name        string
+		q           string
+		rows, nulls int
+	}{
+		{name: "streamed", q: q2, rows: 2, nulls: 1},
+		{name: "offset-past-end", q: q2 + ` OFFSET 2`, rows: 0, nulls: 0},
+		{name: "limit-0", q: q2 + ` LIMIT 0`, rows: 0, nulls: 0},
+		{name: "limit-1", q: q2 + ` LIMIT 1`, rows: 1, nulls: 0},
+		{name: "best-match-replay", rows: 5, nulls: 1, q: `SELECT * WHERE {
+			?f <actedIn> ?s . OPTIONAL { ?s <location> ?l . FILTER (?l != <D.C.>) } }`},
+		{name: "union-offset", rows: 6, nulls: 0, q: `SELECT * WHERE {
+			{ ?x <actedIn> ?y . } UNION { ?x <hasFriend> ?y . } } OFFSET 1`},
+		{name: "projection-nulls", rows: 2, nulls: 1, q: `SELECT ?sitcom WHERE {
+			<Jerry> <hasFriend> ?friend . OPTIONAL { ?friend <actedIn> ?sitcom .
+			?sitcom <location> <NewYorkCity> . } }`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := sparql.Parse(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st Stats
+			rows, nulls := 0, 0
+			err = e.ExecuteStreamObserved(context.Background(), q, nil, func(_ []sparql.Var, row Row) bool {
+				rows++
+				if row.NullCount() > 0 {
+					nulls++
+				}
+				return true
+			}, &st, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows != c.rows || nulls != c.nulls {
+				t.Fatalf("stream delivered %d rows (%d with NULL), want %d (%d)", rows, nulls, c.rows, c.nulls)
+			}
+			if st.Results != rows || st.NullResults != nulls {
+				t.Errorf("stream Stats: Results=%d NullResults=%d, delivered %d rows (%d with NULL)",
+					st.Results, st.NullResults, rows, nulls)
+			}
+			res, err := e.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Results != c.rows || res.Stats.NullResults != c.nulls {
+				t.Errorf("Execute Stats: Results=%d NullResults=%d, want %d (%d)",
+					res.Stats.Results, res.Stats.NullResults, c.rows, c.nulls)
+			}
+		})
+	}
+}

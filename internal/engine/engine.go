@@ -114,12 +114,19 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *sparql.Query) (*Result, 
 // ExecuteContext: the instrumentation reduces to nil checks, allocating
 // nothing and perturbing neither timings nor results.
 func (e *Engine) ExecuteTraceContext(ctx context.Context, q *sparql.Query, sp *trace.Span) (*Result, error) {
-	res, err := e.executeQuery(ctx, q, sp)
+	pq, err := e.prepareQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.executeQuery(ctx, pq, sp)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	for _, r := range res.Rows {
+		res.Stats.count(r)
 	}
 	return res, nil
 }
@@ -153,42 +160,102 @@ func (e *Engine) AskContext(ctx context.Context, q *sparql.Query) (bool, error) 
 	return found, err
 }
 
-// resultVars is the one place the result column order comes from: the
-// branch var union (before cheap-filter substitution), projected through
-// an explicit SELECT clause the way project() does — SELECT order wins,
-// names absent from the pattern are dropped.
-func resultVars(q *sparql.Query, branches []*algebra.Branch) []sparql.Var {
-	vars, varSet := branchVarUnion(branches)
-	if !q.SelectAll() {
-		projected := make([]sparql.Var, 0, len(q.Select))
-		for _, v := range q.Select {
-			if varSet[v] {
-				projected = append(projected, v)
-			}
-		}
-		vars = projected
-	}
-	return vars
+// preparedQuery is a query normalized once for execution: the UNF
+// branches with their filters checked and cheap equality filters
+// substituted, three-variable patterns expanded into per-predicate
+// branches, and the column layouts. Every Execute* and ExecuteStream* call
+// starts from one prepareQuery, so the rewrite never runs twice.
+type preparedQuery struct {
+	q     *sparql.Query
+	execs []execBranch
+	// vars is the public column set: the sorted union of the pattern
+	// variables across all UNF branches, taken before cheap-filter
+	// substitution so a substituted variable keeps its column. allVars
+	// extends it with the hidden synthetic witness columns of rule-3
+	// splits; it is the row layout every branch executes over.
+	vars, allVars []sparql.Var
+	// header is vars projected through an explicit SELECT clause: the
+	// columns of every row handed to a caller.
+	header []sparql.Var
+	// streamable is the rule ExecuteStream documents, less its per-branch
+	// part (best-match or a slave FILTER), which executeBranch decides.
+	streamable bool
 }
 
-// branchVarUnion computes the result variable universe of a normalized
-// query — the sorted union of the pattern variables across all UNF
-// branches, taken before cheap-filter substitution. executeQuery and
-// ResultVars both build their column order from this one function so the
-// streamed header can never disagree with the rows.
-func branchVarUnion(branches []*algebra.Branch) ([]sparql.Var, map[sparql.Var]bool) {
+// prepareQuery normalizes q: FromQuery, NormalizeUNF, the result columns,
+// CheckSafeFilters and SubstituteCheapFilters per branch, and
+// expandFullScans.
+func (e *Engine) prepareQuery(q *sparql.Query) (*preparedQuery, error) {
+	tree, err := algebra.FromQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	branches, err := algebra.NormalizeUNF(tree)
+	if err != nil {
+		return nil, err
+	}
+	pq := &preparedQuery{q: q}
+	pq.vars, pq.header = resultVars(q, branches)
+	for _, b := range branches {
+		if err := b.CheckSafeFilters(); err != nil {
+			return nil, err
+		}
+		b.SubstituteCheapFilters()
+	}
+	// Three-variable patterns expand into per-predicate branches here, so
+	// everything below sees only patterns the BitMat layout supports.
+	if pq.execs, err = e.expandFullScans(branches); err != nil {
+		return nil, err
+	}
+	// Synthetic witness variables of rule-3 splits extend the working row
+	// layout as hidden trailing columns: every branch of a group resolves
+	// the same hidden variable to the same column, so the dedup and
+	// minimum-union passes see the witnesses, and the rows are cut back to
+	// the public width before modifiers, serialization, or streaming ever
+	// touch them.
+	pq.allVars = pq.vars
+	if hidden := collectSynthVars(pq.execs); len(hidden) > 0 {
+		pq.allVars = make([]sparql.Var, 0, len(pq.vars)+len(hidden))
+		pq.allVars = append(append(pq.allVars, pq.vars...), hidden...)
+	}
+	// A rewrite whose union needs cross-branch best-match (rule 3 or its
+	// full-scan analogue) cannot stream; a plain full scan streams one
+	// pass per predicate.
+	pq.streamable = len(branches) == 1 && q.SelectAll() && !q.Distinct && len(q.OrderBy) == 0
+	for _, eb := range pq.execs {
+		if eb.b.UsedRule3 {
+			pq.streamable = false
+		}
+	}
+	return pq, nil
+}
+
+// resultVars is the one place the result column order comes from: vars is
+// the branch var union (before cheap-filter substitution), and header is
+// vars projected through an explicit SELECT clause the way project() does
+// — SELECT order wins, names absent from the pattern are dropped.
+func resultVars(q *sparql.Query, branches []*algebra.Branch) (vars, header []sparql.Var) {
 	varSet := map[sparql.Var]bool{}
 	for _, b := range branches {
 		for v := range algebra.TreeVars(b.Tree) {
 			varSet[v] = true
 		}
 	}
-	vars := make([]sparql.Var, 0, len(varSet))
+	vars = make([]sparql.Var, 0, len(varSet))
 	for v := range varSet {
 		vars = append(vars, v)
 	}
 	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	return vars, varSet
+	if q.SelectAll() {
+		return vars, vars
+	}
+	header = make([]sparql.Var, 0, len(q.Select))
+	for _, v := range q.Select {
+		if varSet[v] {
+			header = append(header, v)
+		}
+	}
+	return vars, header
 }
 
 // collectSynthVars gathers the synthetic witness variables carried by the
@@ -216,48 +283,18 @@ func collectSynthVars(execs []execBranch) []sparql.Var {
 	return out
 }
 
-func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Span) (*Result, error) {
-	tree, err := algebra.FromQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	branches, err := algebra.NormalizeUNF(tree)
-	if err != nil {
-		return nil, err
-	}
-	// The result variable universe spans all branches.
-	vars, _ := branchVarUnion(branches)
-
+// executeQuery materializes a prepared query: every branch collects its
+// rows, then the merge stage concatenates them in branch order, runs the
+// cross-branch minimum union, and applies the solution modifiers.
+func (e *Engine) executeQuery(ctx context.Context, pq *preparedQuery, sp *trace.Span) (*Result, error) {
+	execs, vars, allVars := pq.execs, pq.vars, pq.allVars
 	res := &Result{Vars: vars}
 	start := time.Now()
-	for _, b := range branches {
-		if err := b.CheckSafeFilters(); err != nil {
-			return nil, err
-		}
-		b.SubstituteCheapFilters()
-	}
-	// Three-variable patterns expand into per-predicate branches here, so
-	// everything below sees only patterns the BitMat layout supports.
-	execs, err := e.expandFullScans(branches)
-	if err != nil {
-		return nil, err
-	}
 	if sp != nil {
-		// vars is the public column set; synthetic witness columns (below)
-		// are an internal detail and never count here.
+		// vars is the public column set; synthetic witness columns are an
+		// internal detail and never count here.
 		sp.Set("branches", len(execs))
 		sp.Set("vars", len(vars))
-	}
-	// Synthetic witness variables of rule-3 splits extend the working row
-	// layout as hidden trailing columns: every branch of a group resolves
-	// the same hidden variable to the same column, so the dedup and
-	// minimum-union passes see the witnesses, and the rows are cut back to
-	// the public width before modifiers, serialization, or streaming ever
-	// touch them.
-	allVars := vars
-	if hidden := collectSynthVars(execs); len(hidden) > 0 {
-		allVars = make([]sparql.Var, 0, len(vars)+len(hidden))
-		allVars = append(append(allVars, vars...), hidden...)
 	}
 	varPos := make(map[sparql.Var]int, len(allVars))
 	for i, v := range allVars {
@@ -272,7 +309,8 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 	// materialization through a single-flight load cache.
 	nW := e.workers()
 	cache := newLoadCache(execs)
-	branchRes := make([]*Result, len(execs))
+	branchRows := make([][]Row, len(execs))
+	branchSt := make([]Stats, len(execs))
 	branchErr := make([]error, len(execs))
 	// runBranch wraps one branch execution in its own span (created at
 	// dispatch, so a sequential run's spans don't accumulate queue wait).
@@ -284,7 +322,11 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 		}
 		plan, err := e.prepareBranch(execs[i].b, bsp)
 		if err == nil {
-			branchRes[i], err = e.executeBranchCtx(ctx, execs[i], plan, allVars, budget, cache, bsp)
+			collect := rowSink{push: func(row Row) bool {
+				branchRows[i] = append(branchRows[i], row)
+				return true
+			}}
+			branchSt[i], err = e.executeBranch(ctx, execs[i], plan, allVars, budget, cache, collect, bsp)
 		}
 		branchErr[i] = err
 		bsp.End()
@@ -336,13 +378,12 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 		if branchErr[i] != nil {
 			return nil, branchErr[i]
 		}
-		br := branchRes[i]
-		applyCheapSubsts(eb.b.Substs, br.Rows, varPos)
+		rows := branchRows[i]
 		if meta := dupMetaFor(eb, varPos); meta != nil || metas != nil {
 			if metas == nil {
 				metas = make([]*dupMeta, len(allRows))
 			}
-			for range br.Rows {
+			for range rows {
 				metas = append(metas, meta)
 			}
 		}
@@ -354,14 +395,14 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 			groupBranches = append(groupBranches, 0)
 		}
 		groupBranches[gid]++
-		if eb.b.UsedRule3 || br.Stats.BestMatch {
+		if eb.b.UsedRule3 || branchSt[i].BestMatch {
 			groupNeed[gid] = true
 		}
-		for range br.Rows {
+		for range rows {
 			rowGroup = append(rowGroup, gid)
 		}
-		allRows = append(allRows, br.Rows...)
-		accumulate(&res.Stats, &br.Stats)
+		allRows = append(allRows, rows...)
+		accumulate(&res.Stats, &branchSt[i])
 	}
 	crossBM := false
 	for gid := range groupNeed {
@@ -393,16 +434,9 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 		}
 	}
 	res.Rows = allRows
-	res.Stats.Results = len(allRows)
-	res.Stats.NullResults = 0
-	for _, r := range allRows {
-		if r.NullCount() > 0 {
-			res.Stats.NullResults++
-		}
-	}
 	res.Stats.Total = time.Since(start)
 
-	res.applyModifiers(q)
+	res.applyModifiers(pq.q)
 	res.Stats.Merge = time.Since(tMerge)
 	if msp != nil {
 		msp.Set("rows", len(res.Rows))
@@ -425,7 +459,19 @@ func (res *Result) applyModifiers(q *sparql.Query) {
 		res.distinct()
 	}
 	res.slice(q.Offset, q.Limit)
-	res.Stats.Results = len(res.Rows)
+}
+
+// count records one row handed to the caller in Results and NullResults.
+// Every Execute* and ExecuteStream* path counts the rows it hands over,
+// after the solution modifiers. A nil st records nothing.
+func (st *Stats) count(row Row) {
+	if st == nil {
+		return
+	}
+	st.Results++
+	if row.NullCount() > 0 {
+		st.NullResults++
+	}
 }
 
 // orderBy sorts the rows by the given keys: numeric literals compare
@@ -520,8 +566,8 @@ func accumulate(dst, src *Stats) {
 // prepareBranch plans one union-free branch — lines 1-5 of Algorithm
 // 3.1: the GoSN (transformed per Appendix B when the pattern is not
 // well-designed), the GoJ, the selectivity estimates, and the plan with
-// its best-match decision. Both executors and Describe start here, so
-// EXPLAIN prints the plan that runs. sp, when non-nil, records the
+// its best-match decision. executeBranch and Describe both start here,
+// so EXPLAIN prints the plan that runs. sp, when non-nil, records the
 // planner's decisions.
 func (e *Engine) prepareBranch(b *algebra.Branch, sp *trace.Span) (*planner.Plan, error) {
 	// Lines 1-2: GoSN and GoJ.
@@ -641,29 +687,38 @@ func (e *Engine) initPrune(ctx context.Context, plan *planner.Plan, budget int, 
 	return tps, nil
 }
 
-// executeBranchCtx runs one planned union-free branch (Algorithm 5.1).
-// budget bounds the workers the branch's own partitioned join may use —
-// the pool share the branch scheduler granted it (the full pool when
+// rowSink is where a branch's rows go, in sequential enumeration order;
+// push returning false stops the enumeration. A stream sink takes rows as
+// the join finds them: a branch that needs no post-pass then runs one
+// sequential joinRun pushing straight to push. Otherwise the join
+// partitions at the branch's budget, the partitions concatenate in scan
+// order, and the rows are pushed once complete.
+type rowSink struct {
+	push   func(Row) bool
+	stream bool
+}
+
+// executeBranch runs one planned union-free branch (Algorithm 5.1): init
+// with active pruning, prune_triples, and one pipelined join whose rows
+// leave through sink. budget bounds the workers the branch may use — the
+// pool share the branch scheduler granted it (the full pool when
 // branches run sequentially). cache, when non-nil, shares BitMat
 // materializations of subpatterns that recur across the query's branches.
 // sp, when non-nil, is the branch's trace span: the init, prune, and join
-// phases record themselves under it.
-func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, plan *planner.Plan, vars []sparql.Var, budget int, cache *loadCache, sp *trace.Span) (*Result, error) {
-	b := eb.b
-	gosn := plan.GoSN
-	res := &Result{Vars: vars}
-	tps, err := e.initPrune(ctx, plan, budget, cache, &res.Stats, sp)
-	if err != nil {
-		return nil, err
-	}
-	if tps == nil {
-		return res, nil // empty-master shortcut
+// phases record themselves under it. The returned Join stage includes the
+// sink, so for a streamed branch it includes the caller's serialization.
+func (e *Engine) executeBranch(ctx context.Context, eb execBranch, plan *planner.Plan, vars []sparql.Var, budget int, cache *loadCache, sink rowSink, sp *trace.Span) (Stats, error) {
+	var bst Stats
+	tps, err := e.initPrune(ctx, plan, budget, cache, &bst, sp)
+	if tps == nil || err != nil {
+		return bst, err // no error: the empty-master shortcut, no rows
 	}
 
 	// Lines 8-13: sort patterns and run the pipelined join. Without the
 	// full prune_triples pass (or with a non-standard jvar order) the
 	// per-pattern triple sets are not minimal, so nullification and
-	// best-match become mandatory (Lemma 3.1).
+	// best-match become mandatory (Lemma 3.1). A slave filter may nullify
+	// as well, so its rows are collected for the same post-pass.
 	tJoin := time.Now()
 	var jsp *trace.Span
 	if sp != nil {
@@ -671,8 +726,10 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, plan *plan
 	}
 	stps := sortTPs(plan, tps)
 	nulreqd := plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder
-	placed := planner.PlaceFilters(b, gosn)
+	placed := planner.PlaceFilters(eb.b, plan.GoSN)
 	slaveFilters, rowFilters := placed.Slave, placed.Row
+	postPass := nulreqd || len(slaveFilters) > 0
+	streamed := sink.stream && !postPass
 
 	varIdx := make(map[sparql.Var]int, len(vars))
 	for i, v := range vars {
@@ -680,18 +737,50 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, plan *plan
 	}
 	forcedSlots := resolveForced(eb, stps, varIdx)
 	witnessSlots := resolveWitnesses(eb, stps, varIdx)
+	// leave hands a finished row to the sink, re-injecting the bindings of
+	// the cheap equality filters SubstituteCheapFilters folded away.
+	leave := sink.push
+	if substs := eb.b.Substs; len(substs) > 0 {
+		leave = func(row Row) bool {
+			applyCheapSubsts(substs, row, varIdx)
+			return sink.push(row)
+		}
+	}
+
+	nWorkers := max(budget, 1)
+	if streamed {
+		nWorkers = 1
+	}
+	rootTP, parts := rootPartitions(plan, stps, nWorkers, e.opts.partitionFactor())
+	// direct: rows leave as the join emits them, with nothing to collect.
+	direct := !postPass && len(parts) <= 1
+	if jsp != nil {
+		if streamed {
+			jsp.Set("streamed", true)
+		} else {
+			// rootTP is -1 when the partitioner fell back to a sequential
+			// single-chunk join (small input, one worker, unsplittable root).
+			if rootTP >= 0 {
+				jsp.Set("root", stps[rootTP].idx)
+			}
+			jsp.Set("partitions", len(parts))
+		}
+	}
+
 	// joinChunk is one worker's share of the join output. With a single
 	// worker there is exactly one chunk; with several, each worker fills
 	// its own and the chunks concatenate — in partition order — to exactly
 	// the sequential output.
 	type joinChunk struct {
 		rows         []Row
-		changed      []bool
+		changed      []bool // per row: nullification changed it (post-pass only)
 		fanNullified bool
 		filterIn     int // rows that reached the filter stage
 		fanNulls     int // rows whose scope a slave filter nullified
+		out          int // rows that passed the row filters
 	}
-	makeEmit := func(out *joinChunk) func(*joinRun) bool {
+	// makeEmit is the one place a joinRun binding becomes a result row.
+	makeEmit := func(c *joinChunk) func(*joinRun) bool {
 		return func(r *joinRun) bool {
 			// Cancellation check, amortized over emitted rows.
 			if r.emitted&1023 == 0 && ctx.Err() != nil {
@@ -746,7 +835,7 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, plan *plan
 			// FaN: scoped slave filters nullify their supernodes' bindings on
 			// failure; row filters reject the row.
 			if placed.Any() {
-				out.filterIn++
+				c.filterIn++
 			}
 			for _, sf := range slaveFilters {
 				if !filterHolds(sf.Expr, row, varIdx) {
@@ -771,8 +860,8 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, plan *plan
 					}
 					if changed {
 						rowChanged = true
-						out.fanNullified = true
-						out.fanNulls++
+						c.fanNullified = true
+						c.fanNulls++
 					}
 				}
 			}
@@ -781,31 +870,23 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, plan *plan
 					return true // drop the row, keep enumerating
 				}
 			}
-			out.rows = append(out.rows, row)
-			out.changed = append(out.changed, rowChanged)
+			c.out++
+			if direct {
+				return leave(row)
+			}
+			c.rows = append(c.rows, row)
+			if postPass {
+				c.changed = append(c.changed, rowChanged)
+			}
 			return true
 		}
 	}
 
-	nWorkers := budget
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	rootTP, parts := rootPartitions(plan, stps, nWorkers, e.opts.partitionFactor())
-	if jsp != nil {
-		// rootTP is -1 when the partitioner fell back to a sequential
-		// single-chunk join (small input, one worker, unsplittable root).
-		if rootTP >= 0 {
-			jsp.Set("root", stps[rootTP].idx)
-		}
-		jsp.Set("partitions", len(parts))
-	}
-	var chunks []joinChunk
+	chunks := make([]joinChunk, max(len(parts), 1))
 	if len(parts) > 1 {
 		// Partitioned multi-way join: each worker enumerates a contiguous
 		// slice of the root pattern's surviving triples with its own
 		// joinRun state over the shared (now read-only) tpStates.
-		chunks = make([]joinChunk, len(parts))
 		fns := make([]func(), len(parts))
 		for k, p := range parts {
 			fns[k] = func() {
@@ -816,188 +897,81 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, plan *plan
 		}
 		runLimited(nWorkers, fns)
 	} else {
-		chunks = make([]joinChunk, 1)
-		run := newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[0]))
-		run.run()
+		newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[0])).run()
 	}
-	var rows []Row
-	var changed []bool
 	fanNullified := false
-	filterIn, fanNulls := 0, 0
+	filterIn, fanNulls, rowsOut := 0, 0, 0
 	for i := range chunks {
-		rows = append(rows, chunks[i].rows...)
-		changed = append(changed, chunks[i].changed...)
 		fanNullified = fanNullified || chunks[i].fanNullified
 		filterIn += chunks[i].filterIn
 		fanNulls += chunks[i].fanNulls
+		rowsOut += chunks[i].out
 	}
 	if sp != nil && placed.Any() {
 		// The filter stage runs inline with join emission; the span records
 		// its row accounting (rows entering the per-row post-pass vs rows
 		// surviving the row filters; FaN nullifications don't drop rows).
+		// An early stop (LIMIT) can end enumeration before all candidate
+		// rows are seen.
 		fsp := sp.Child("filter")
 		fsp.Set("exprs", len(slaveFilters)+len(rowFilters))
 		fsp.Set("rows_in", filterIn)
-		fsp.Set("rows_out", len(rows))
+		fsp.Set("rows_out", rowsOut)
 		if len(slaveFilters) > 0 {
 			fsp.Set("fan_nullified_rows", fanNulls)
 		}
 		fsp.End()
 	}
 
-	if nulreqd || fanNullified {
-		rows, changed = dedupNullified(rows, changed)
-		rows = bestMatch(rows)
-		res.Stats.BestMatch = true
-	}
-	res.Rows = rows
-	res.Stats.Join = time.Since(tJoin)
-	if sp != nil {
-		jsp.Set("rows", len(rows))
-		jsp.End()
-		sp.Set("rows", len(rows))
-	}
-	return res, nil
-}
-
-// executeBranchStreamCtx runs one branch, streaming rows to fn when the
-// plan permits (no nullification/best-match pass needed). When best-match
-// is required it falls back to executeBranchCtx and returns the
-// materialized result (non-nil) for the caller to replay; a nil result
-// means rows were streamed. A cancelled context stops the enumeration; the
-// caller surfaces ctx.Err().
-//
-// st, when non-nil, receives the branch's per-stage timings (the server's
-// stage histograms read them without paying for a full trace); note the
-// Join stage of a streamed branch includes the caller's fn — row
-// serialization is interleaved with join enumeration. sp, when non-nil,
-// records the branch's span tree exactly as executeBranchCtx does.
-func (e *Engine) executeBranchStreamCtx(ctx context.Context, eb execBranch, vars []sparql.Var, cache *loadCache, fn func([]sparql.Var, Row) bool, st *Stats, sp *trace.Span) (*Result, error) {
-	b := eb.b
-	plan, err := e.prepareBranch(b, sp)
-	if err != nil {
-		return nil, err
-	}
-	placed := planner.PlaceFilters(b, plan.GoSN)
-	rowFilters := placed.Row
-	if plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder || len(placed.Slave) > 0 {
-		// A trailing best-match (or potential FaN nullification) makes the
-		// output non-streamable: run the already planned branch
-		// materialized.
-		res, err := e.executeBranchCtx(ctx, eb, plan, vars, e.workers(), cache, sp)
-		if err == nil && st != nil {
-			accumulate(st, &res.Stats)
+	if !direct {
+		if err := ctx.Err(); err != nil {
+			return bst, err
 		}
-		return res, err
-	}
-	var bst Stats
-	if st != nil {
-		defer func() {
-			accumulate(st, &bst)
-			st.Results += bst.Results
-		}()
-	}
-	tps, err := e.initPrune(ctx, plan, e.workers(), cache, &bst, sp)
-	if tps == nil || err != nil {
-		return nil, err // an empty-master shortcut streams nothing
-	}
-	stps := sortTPs(plan, tps)
-	varIdx := make(map[sparql.Var]int, len(vars))
-	for i, v := range vars {
-		varIdx[v] = i
-	}
-	forcedSlots := resolveForced(eb, stps, varIdx)
-	tJoin := time.Now()
-	var jsp *trace.Span
-	if sp != nil {
-		jsp = sp.Child("join")
-		jsp.Set("streamed", true)
-	}
-	emitted := 0
-	filterIn := 0
-	run := newJoinRun(e, plan, stps, vars, false, func(r *joinRun) bool {
-		if r.emitted&1023 == 0 && ctx.Err() != nil {
-			return false
+		if nulreqd || fanNullified {
+			rows, changed := chunks[0].rows, chunks[0].changed
+			for i := 1; i < len(chunks); i++ {
+				rows = append(rows, chunks[i].rows...)
+				changed = append(changed, chunks[i].changed...)
+			}
+			rows, _ = dedupNullified(rows, changed)
+			chunks = []joinChunk{{rows: bestMatch(rows)}}
+			rowsOut = len(chunks[0].rows)
+			bst.BestMatch = true
 		}
-		row := make(Row, len(vars))
-		for v := range r.bindings {
-			if r.state[v] == stBound {
-				if t, err := e.term(r.bindings[v]); err == nil {
-					row[v] = t
+	push:
+		for i := range chunks {
+			for _, row := range chunks[i].rows {
+				if !leave(row) {
+					break push
 				}
 			}
 		}
-		for _, fs := range forcedSlots {
-			if r.matched[fs.pos] == 1 {
-				row[fs.col] = fs.term
-			}
-		}
-		if len(rowFilters) > 0 {
-			filterIn++
-		}
-		for _, rf := range rowFilters {
-			if !filterHolds(rf.Expr, row, varIdx) {
-				return true
-			}
-		}
-		emitted++
-		return fn(vars, row)
-	})
-	run.run()
-	if sp != nil && len(rowFilters) > 0 {
-		// Inline row-filter accounting for the streamed join; early-stop
-		// (LIMIT) can end enumeration before all candidate rows are seen.
-		fsp := sp.Child("filter")
-		fsp.Set("exprs", len(rowFilters))
-		fsp.Set("rows_in", filterIn)
-		fsp.Set("rows_out", emitted)
-		fsp.End()
 	}
-	// The streamed Join stage includes fn: serialization interleaves with
-	// enumeration, so downstream stage accounting treats serialize as the
-	// residual of the request's wall time (documented in the server).
 	bst.Join = time.Since(tJoin)
-	bst.Results = emitted
 	if sp != nil {
-		jsp.Set("rows", emitted)
+		jsp.Set("rows", rowsOut)
 		jsp.End()
-		sp.Set("rows", emitted)
+		sp.Set("rows", rowsOut)
 	}
-	return nil, nil
+	return bst, nil
 }
 
-// applyCheapSubsts re-injects the bindings of whole-scope equality
-// filters that SubstituteCheapFilters folded into the patterns: the
-// replaced variable's column would otherwise stay NULL even though the
-// filter fixed its value in every row.
-func applyCheapSubsts(substs []algebra.CheapSubst, rows []Row, varPos map[sparql.Var]int) {
+// applyCheapSubsts re-injects into row the bindings of whole-scope
+// equality filters that SubstituteCheapFilters folded into the patterns:
+// the replaced variable's column would otherwise stay NULL even though
+// the filter fixed its value in every row.
+func applyCheapSubsts(substs []algebra.CheapSubst, row Row, varPos map[sparql.Var]int) {
 	for _, cs := range substs {
 		col, ok := varPos[cs.Var]
 		if !ok {
 			continue
 		}
-		if cs.From != "" {
-			src, ok := varPos[cs.From]
-			if !ok {
-				continue
-			}
-			for _, r := range rows {
-				r[col] = r[src]
-			}
-			continue
-		}
-		for _, r := range rows {
-			r[col] = cs.Term
+		if cs.From == "" {
+			row[col] = cs.Term
+		} else if src, ok := varPos[cs.From]; ok {
+			row[col] = row[src]
 		}
 	}
-}
-
-// applyCheapSubstsRow is applyCheapSubsts for one streamed row.
-func applyCheapSubstsRow(substs []algebra.CheapSubst, row Row, varPos map[sparql.Var]int) {
-	if len(substs) == 0 {
-		return
-	}
-	applyCheapSubsts(substs, []Row{row}, varPos)
 }
 
 // activePrune masks a freshly loaded pattern with the bindings of already
@@ -1112,14 +1086,22 @@ func (res *Result) distinct() {
 		}
 	}
 	res.Rows = out
-	res.Stats.Results = len(out)
 }
 
 // ExecuteStream executes a query and hands each result row to fn as the
-// multi-way join produces it, avoiding result materialization for the
-// common streaming-friendly case (single union-free branch, no best-match,
-// SELECT *). Queries outside that case are materialized internally and
-// replayed to fn. fn returning false stops the enumeration.
+// multi-way join produces it, without materializing the result. fn
+// returning false stops the enumeration.
+//
+// A query streams when it is a single UNF branch (no UNION, no rule-3
+// rewrite of a union under OPTIONAL, no three-variable pattern under
+// OPTIONAL), SELECT *, without DISTINCT or ORDER BY, and its branch needs
+// neither best-match nor a slave FILTER (an OPTIONAL-scoped FILTER, which
+// may nullify). LIMIT and OFFSET stream, stopping the join at the limit.
+// A three-variable pattern outside OPTIONAL streams one per-predicate
+// branch after another. Every other query (or branch) runs through the
+// same pipeline into a collector, and its rows are handed to fn once
+// complete. This is the one statement of the rule; the Store's streaming
+// calls refer here.
 func (e *Engine) ExecuteStream(q *sparql.Query, fn func(vars []sparql.Var, row Row) bool) error {
 	return e.ExecuteStreamContext(context.Background(), q, fn)
 }
@@ -1128,159 +1110,112 @@ func (e *Engine) ExecuteStream(q *sparql.Query, fn func(vars []sparql.Var, row R
 // stops the enumeration between rows (and between the per-predicate
 // branches of an expanded three-variable pattern) and returns ctx.Err().
 func (e *Engine) ExecuteStreamContext(ctx context.Context, q *sparql.Query, fn func(vars []sparql.Var, row Row) bool) error {
-	return e.executeStream(ctx, q, nil, fn, nil, nil)
+	return e.ExecuteStreamObserved(ctx, q, nil, fn, nil, nil)
 }
 
-// ExecuteStreamHeaderContext is ExecuteStreamContext with a header
-// callback: before any row, header receives the result columns (the same
-// slice ResultVars would compute, but derived from this execution's own
-// normalization pass, so the hot path plans the query once, not twice).
-// header returning false ends the call without executing, and without
+// ExecuteStreamObserved is ExecuteStreamContext with a header callback and
+// observation. header, when non-nil, receives the result columns before
+// any row; returning false ends the call without executing, and without
 // error — the streaming analogue of LIMIT 0. Every fn call receives the
-// very slice header received, on the streamed and the materialized paths
-// alike, so row[i] is always the binding of the header's i-th variable.
-func (e *Engine) ExecuteStreamHeaderContext(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool) error {
-	return e.executeStream(ctx, q, header, fn, nil, nil)
-}
-
-// ExecuteStreamObserved is ExecuteStreamHeaderContext with observation:
-// st, when non-nil, accumulates the execution's per-stage timings (for a
-// streamed branch the Join stage includes fn — serialization interleaves
-// with enumeration); sp, when non-nil, records the full span tree. Both
-// nil is exactly ExecuteStreamHeaderContext.
+// very slice header received, so row[i] is always the binding of the
+// header's i-th variable. st, when non-nil, accumulates the execution's
+// per-stage timings (for a streamed branch the Join stage includes fn —
+// serialization interleaves with enumeration), and its Results and
+// NullResults count the rows handed to fn. sp, when non-nil, records the
+// full span tree.
 func (e *Engine) ExecuteStreamObserved(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
-	return e.executeStream(ctx, q, header, fn, st, sp)
-}
-
-func (e *Engine) executeStream(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
 	if st != nil {
 		defer func(t0 time.Time) { st.Total = time.Since(t0) }(time.Now())
 	}
-	tree, err := algebra.FromQuery(q)
+	pq, err := e.prepareQuery(q)
 	if err != nil {
 		return err
 	}
-	branches, err := algebra.NormalizeUNF(tree)
-	if err != nil {
-		return err
-	}
-	// Every row below is handed this one header slice, whichever path
-	// produces it, so a consumer may index rows by the header it saw.
-	vars := resultVars(q, branches)
 	if header != nil {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !header(vars) {
+		if !header(pq.header) {
 			return nil
 		}
 	}
-	// ORDER BY cannot stream (sorting needs the full result); LIMIT and
-	// OFFSET can — they are applied inline below, stopping the
-	// enumeration as soon as the limit is reached.
-	if len(branches) == 1 && q.SelectAll() && !q.Distinct && len(q.OrderBy) == 0 {
-		b := branches[0]
-		if err := b.CheckSafeFilters(); err != nil {
-			return err
+	if !pq.streamable {
+		res, err := e.executeQuery(ctx, pq, sp)
+		if err == nil {
+			err = ctx.Err()
 		}
-		// vars came from the tree before cheap-filter substitution (and
-		// before full-scan expansion), exactly as executeQuery computes
-		// them: a FILTER-substituted or rewritten predicate variable keeps
-		// its result column, re-injected per row.
-		b.SubstituteCheapFilters()
-		execs, err := e.expandFullScans([]*algebra.Branch{b})
 		if err != nil {
 			return err
 		}
-		// A rewrite whose union needs cross-branch best-match (rule 3
-		// analogue) cannot stream; everything else streams branch by
-		// branch, which for a plain full scan is one pass per predicate.
-		streamable := true
-		for _, eb := range execs {
-			if eb.b.UsedRule3 {
-				streamable = false
+		if st != nil {
+			// The deferred wall-clock assignment overwrites Total afterwards.
+			*st = res.Stats
+		}
+		for _, row := range res.Rows {
+			st.count(row)
+			if !fn(pq.header, row) {
+				break
 			}
 		}
-		if streamable {
-			if sp != nil {
-				sp.Set("branches", len(execs))
-				sp.Set("streamed", true)
+		return nil
+	}
+	if sp != nil {
+		sp.Set("branches", len(pq.execs))
+		sp.Set("streamed", true)
+	}
+	// Inline OFFSET/LIMIT: rows arrive in the same deterministic order the
+	// materialized path slices, so skipping the first Offset rows and
+	// cutting at Limit is equivalent — and a LIMIT 10 over a million-row
+	// scan stops after 10 rows.
+	skip := q.Offset
+	remaining := q.Limit // negative = unlimited
+	stopped := false
+	sink := rowSink{stream: true, push: func(row Row) bool {
+		if skip > 0 {
+			skip--
+			return true
+		}
+		if remaining == 0 {
+			stopped = true
+			return false
+		}
+		st.count(row)
+		if !fn(pq.header, row) {
+			stopped = true
+			return false
+		}
+		if remaining > 0 {
+			if remaining--; remaining == 0 {
+				stopped = true
+				return false
 			}
-			cache := newLoadCache(execs)
-			varPos := make(map[sparql.Var]int, len(vars))
-			for i, v := range vars {
-				varPos[v] = i
-			}
-			// Inline OFFSET/LIMIT: rows arrive in the same deterministic
-			// order the materialized path slices, so skipping the first
-			// Offset rows and cutting at Limit is equivalent — and a
-			// LIMIT 10 over a million-row scan stops after 10 rows.
-			skip := q.Offset
-			remaining := q.Limit // negative = unlimited
-			stopped := false
-			wrapped := func(_ []sparql.Var, row Row) bool {
-				if skip > 0 {
-					skip--
-					return true
-				}
-				if remaining == 0 {
-					stopped = true
-					return false
-				}
-				applyCheapSubstsRow(b.Substs, row, varPos)
-				if !fn(vars, row) {
-					stopped = true
-					return false
-				}
-				if remaining > 0 {
-					if remaining--; remaining == 0 {
-						stopped = true
-						return false
-					}
-				}
-				return true
-			}
-			for i, eb := range execs {
-				var bsp *trace.Span
-				if sp != nil {
-					bsp = sp.Child("branch")
-					bsp.Set("branch", i)
-				}
-				res, err := e.executeBranchStreamCtx(ctx, eb, vars, cache, wrapped, st, bsp)
-				bsp.End()
-				if err != nil {
-					return err
-				}
-				if res != nil {
-					// The branch could not stream (best-match was
-					// required); replay its materialized rows.
-					for _, row := range res.Rows {
-						if !wrapped(vars, row) {
-							break
-						}
-					}
-				}
-				if stopped {
-					return nil
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
+		}
+		return true
+	}}
+	cache := newLoadCache(pq.execs)
+	for i, eb := range pq.execs {
+		var bsp *trace.Span
+		if sp != nil {
+			bsp = sp.Child("branch")
+			bsp.Set("branch", i)
+		}
+		plan, err := e.prepareBranch(eb.b, bsp)
+		var bst Stats
+		if err == nil {
+			bst, err = e.executeBranch(ctx, eb, plan, pq.allVars, e.workers(), cache, sink, bsp)
+		}
+		bsp.End()
+		if err != nil {
+			return err
+		}
+		if st != nil {
+			accumulate(st, &bst)
+		}
+		if stopped {
 			return nil
 		}
-	}
-	res, err := e.ExecuteTraceContext(ctx, q, sp)
-	if err != nil {
-		return err
-	}
-	if st != nil {
-		// The deferred wall-clock assignment overwrites Total afterwards.
-		*st = res.Stats
-	}
-	for _, row := range res.Rows {
-		if !fn(vars, row) {
-			return nil
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -129,9 +129,9 @@ type witnessSlot struct {
 }
 
 // resolveWitnesses maps a branch's synthetic witnesses onto an execution's
-// pattern order and row layout. Witness variables absent from varIdx (the
-// streaming path's public-only layout, where rule-3 branches never run)
-// resolve to nothing.
+// pattern order and row layout (the public columns plus the hidden
+// witness columns). Witness variables absent from varIdx resolve to
+// nothing.
 func resolveWitnesses(eb execBranch, stps []*tpState, varIdx map[sparql.Var]int) []witnessSlot {
 	var out []witnessSlot
 	for _, w := range eb.b.SynthWitnesses {

@@ -90,7 +90,9 @@ func isUnsupportedQuery(err error) bool {
 // evaluator: every mutated input that parses, stays well-designed, and is
 // within the engine's documented coverage must produce the same result
 // multiset at Workers 1, 2, and 8 — with the sequential and parallel runs
-// additionally byte-identical in row order. Run a short smoke with
+// additionally byte-identical in row order, and ExecuteStreamContext
+// handing back Execute's rows byte for byte at each worker count. Run a
+// short smoke with
 //
 //	go test ./internal/engine -run='^$' -fuzz=FuzzQueryDifferential -fuzztime=10s
 //
@@ -171,6 +173,19 @@ func FuzzQueryDifferential(f *testing.F) {
 					w, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
 			}
 			exact := exactRows(res)
+			// The streamed path must hand fn exactly the materialized rows,
+			// in the same order.
+			streamed := &Result{}
+			if err := e.ExecuteStreamContext(context.Background(), q, func(_ []sparql.Var, row Row) bool {
+				streamed.Rows = append(streamed.Rows, row)
+				return true
+			}); err != nil {
+				t.Fatalf("stream workers=%d on %q: %v", w, src, err)
+			}
+			if got := exactRows(streamed); strings.Join(got, "\n") != strings.Join(exact, "\n") {
+				t.Fatalf("stream workers=%d diverges from Execute\nquery: %s\nstream:  %v\nexecute: %v",
+					w, src, got, exact)
+			}
 			if seq == nil {
 				seq = exact
 			} else if strings.Join(exact, "\n") != strings.Join(seq, "\n") {

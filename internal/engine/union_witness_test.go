@@ -144,7 +144,7 @@ func TestWitnesslessUnionStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := engineOver(t, g, Options{})
-		err = e.ExecuteStreamHeaderContext(t.Context(), q, func(vars []sparql.Var) bool {
+		err = e.ExecuteStreamObserved(t.Context(), q, func(vars []sparql.Var) bool {
 			for _, v := range vars {
 				if algebra.IsSynthWitnessVar(v) {
 					t.Fatalf("%s: streamed header leaked witness var %q", tc.name, string(v))
@@ -161,7 +161,7 @@ func TestWitnesslessUnionStreaming(t *testing.T) {
 				}
 			}
 			return true
-		})
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

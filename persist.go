@@ -111,10 +111,10 @@ func OpenIndexWithOptions(r io.Reader, opts Options) (*Store, error) {
 
 // QueryStream executes a query and calls fn for every result row as it is
 // produced by the multi-way pipelined join, without materializing the
-// result set. fn returning false stops the enumeration early. Queries that
-// require best-match (cyclic with multi-jvar slaves) cannot stream — their
-// output needs a final subsumption pass — and fall back to materializing
-// internally before replaying rows to fn.
+// result set. fn returning false stops the enumeration early. Which
+// queries stream is stated once, on engine.Engine.ExecuteStream; the rest
+// run through the same pipeline into a collector, and their rows are
+// handed to fn once complete.
 func (s *Store) QueryStream(src string, fn func(map[string]Term) bool) error {
 	return s.QueryStreamContext(context.Background(), src, fn)
 }
@@ -157,9 +157,9 @@ func (s *Store) QueryStreamContext(ctx context.Context, src string, fn func(map[
 // early without error. A done ctx aborts the query in any phase and
 // returns ctx.Err().
 //
-// Like QueryStream, queries whose output needs a final subsumption pass
-// (best-match) or cross-branch de-duplication are materialized internally
-// and replayed to fn; everything else streams with constant memory.
+// Like QueryStream, a query streams with constant memory when it meets
+// the rule stated on engine.Engine.ExecuteStream; any other query is
+// collected first and then handed to fn row by row.
 //
 // When the slow-query log is enabled (Options.SlowQueryThreshold and
 // SlowQueryLog), the query runs traced and a slow one is logged, exactly
